@@ -1,4 +1,5 @@
-//! Golden campaign content hashes.
+//! Golden campaign content hashes, plus one digest of the phantom-error
+//! path the paper figures run through.
 //!
 //! These tests replicate `acr_cli inject`'s exact campaign construction —
 //! workload list, per-workload fault split, seed offsets, spec and
@@ -18,8 +19,8 @@
 //! costs minutes, so they ride only in release test runs
 //! (`cargo test --release`); CI also checks them through the CLI itself.
 
-use acr::{run_campaign_sweep, CampaignSweepItem, ExperimentSpec};
-use acr_ckpt::CampaignConfig;
+use acr::{run_campaign_sweep, CampaignSweepItem, Experiment, ExperimentSpec};
+use acr_ckpt::{CampaignConfig, Scheme};
 use acr_sim::FaultKindSet;
 use acr_trace::Fnv1a;
 use acr_workloads::{generate, Benchmark, WorkloadConfig};
@@ -83,6 +84,61 @@ fn content_hashes(seed: u64, faults: u32, recovery_faults: bool, jobs: usize) ->
     .into_iter()
     .map(|o| o.run.expect("campaign runs").report.content_hash())
     .collect()
+}
+
+/// FNV-1a digest of the figure pipeline's phantom-error path: on every
+/// golden workload, `run_ckpt(1)` and `run_reckpt(1)` under the global
+/// scheme plus `run_ckpt(1)` under the local scheme, folding each
+/// report's cycles, errors handled, per-recovery restored/recomputed/stall
+/// and per-interval records/omitted.
+fn phantom_digest() -> u64 {
+    let mut h = Fnv1a::new();
+    for bench in BENCHES {
+        let program = generate(
+            bench,
+            &WorkloadConfig::default()
+                .with_threads(THREADS)
+                .with_scale(SCALE),
+        );
+        let spec = ExperimentSpec::default()
+            .with_cores(THREADS)
+            .with_threshold(bench.default_threshold());
+        let mut global = Experiment::new(program.clone(), spec.clone()).expect("valid workload");
+        let mut local = Experiment::new(program, spec.with_scheme(Scheme::LocalCoordinated))
+            .expect("valid workload");
+        let runs = [
+            global.run_ckpt(1).expect("ckpt run"),
+            global.run_reckpt(1).expect("reckpt run"),
+            local.run_ckpt(1).expect("local ckpt run"),
+        ];
+        for run in runs {
+            let rep = run.report.expect("checkpointed runs carry a report");
+            assert_eq!(rep.errors_handled, 1, "{}: one phantom error", run.label);
+            h.write_u64(rep.cycles);
+            h.write_u64(rep.errors_handled);
+            for r in &rep.recoveries {
+                h.write_u64(r.restored_records);
+                h.write_u64(r.recomputed_values);
+                h.write_u64(r.stall_cycles);
+            }
+            for i in &rep.intervals {
+                h.write_u64(i.records);
+                h.write_u64(i.omitted);
+            }
+        }
+    }
+    h.finish()
+}
+
+/// The phantom-error pin: the figure pipeline must not move when the
+/// engine's error model is refactored.
+#[test]
+fn golden_hash_phantom_errors() {
+    assert_eq!(
+        phantom_digest(),
+        0xa8e2192ff0adb0c2,
+        "phantom-error digest moved"
+    );
 }
 
 /// `inject --seed 42 --faults 200`: cheap enough for every profile.
