@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 use acr_mem::{CoreId, LogController, LogEpoch, WordAddr, LOG_RECORD_BYTES};
 use acr_sim::{
-    AssocEvent, ExecHooks, Fault, FaultKind, Machine, RecoveryFault, RecoveryFaultKind, RunOutcome,
+    AssocEvent, ExecHooks, FaultKind, Machine, RecoveryFault, RecoveryFaultKind, RunOutcome,
     SimError, StoreEvent, TICKS_PER_CYCLE,
 };
 use acr_trace::{TraceEvent, TRACK_ENGINE};
@@ -119,24 +119,18 @@ pub struct BerConfig {
     /// Checkpoint trigger points, ascending, in progress units (total
     /// retired instructions); see [`crate::uniform_points`].
     pub triggers: Vec<u64>,
-    /// Error schedule.
+    /// The errors to occur, each optionally corrupting state. Crashes are
+    /// detected immediately, every other error after the schedule's
+    /// detection latency. Once any error carries a corruption, the
+    /// recovery oracle records shadow divergence in the report instead of
+    /// asserting, because memory corruptions can legitimately defeat the
+    /// log.
     pub errors: ErrorSchedule,
     /// Shadow-memory verification of every recovery (tests; off in
     /// benchmark sweeps to save host memory).
     pub oracle: bool,
     /// Optional second-level checkpoint destination.
     pub secondary: Option<SecondaryStorage>,
-    /// Real state corruptions to inject. When empty, the error schedule
-    /// is *phantom* (schedule-only, no corruption — the mode every
-    /// overhead experiment uses). When non-empty, the faults **define**
-    /// the error schedule: each fault is one error occurring at its
-    /// `at_progress` on its target core, and
-    /// [`ErrorSchedule::occurrences`] is ignored (only
-    /// `detection_latency` is still read; crashes are detected
-    /// immediately regardless). In fault mode the recovery oracle records
-    /// shadow divergence in the report instead of asserting, because
-    /// memory faults can legitimately defeat the log.
-    pub faults: Vec<Fault>,
     /// Torn-recovery resilience: retained generations, replay-retry
     /// bound, recovery-window fault plan.
     pub resilience: ResilienceConfig,
@@ -146,7 +140,7 @@ pub struct BerConfig {
 struct ErrState {
     occur: u64,
     core: u32,
-    /// Corruption applied at occurrence (`None` = phantom error).
+    /// Corruption applied at occurrence (`None` corrupts nothing).
     kind: Option<FaultKind>,
     /// Per-error detection latency (crashes are never silent: 0).
     latency: u64,
@@ -238,10 +232,11 @@ impl<P: OmissionPolicy> ExecHooks for CkptHooks<P> {
 /// let cfg = BerConfig {
 ///     scheme: Scheme::GlobalCoordinated,
 ///     triggers: acr_ckpt::uniform_points(total, 4),
+///     // One error that corrupts nothing; a `Fault` converts into a
+///     // `ScheduledError` that does.
 ///     errors: ErrorSchedule::uniform(total, 1, 4, 0.5),
 ///     oracle: true, // verify the recovery against a shadow snapshot
 ///     secondary: None,
-///     faults: Vec::new(), // phantom errors: schedule only, no corruption
 ///     resilience: ResilienceConfig::default(),
 /// };
 /// let machine = Machine::new(MachineConfig::with_cores(1), &program);
@@ -263,6 +258,9 @@ pub struct BerEngine<'p, P: OmissionPolicy> {
     /// Recovery-window faults not yet consumed.
     pending_recovery_faults: Vec<RecoveryFault>,
     errors: Vec<ErrState>,
+    /// Some scheduled error corrupts state, or recovery faults are
+    /// planned: the oracle counts divergence instead of asserting.
+    fault_mode: bool,
     report: BerReport,
 }
 
@@ -300,36 +298,24 @@ impl<'p, P: OmissionPolicy> BerEngine<'p, P> {
             1 + cfg.resilience.generations as usize,
         );
         let num_cores = machine.cores().len() as u32;
-        let errors: Vec<ErrState> = if cfg.faults.is_empty() {
-            cfg.errors
-                .occurrences
-                .iter()
-                .enumerate()
-                .map(|(i, &occur)| ErrState {
-                    occur,
-                    core: i as u32 % num_cores,
-                    kind: None,
-                    latency: cfg.errors.detection_latency,
-                    occurred: false,
-                    handled: false,
-                })
-                .collect()
-        } else {
-            cfg.faults
-                .iter()
-                .map(|f| ErrState {
-                    occur: f.at_progress,
-                    core: f.core.0 % num_cores,
-                    kind: Some(f.kind),
-                    latency: match f.kind {
-                        FaultKind::Crash => 0,
-                        _ => cfg.errors.detection_latency,
-                    },
-                    occurred: false,
-                    handled: false,
-                })
-                .collect()
-        };
+        let errors: Vec<ErrState> = cfg
+            .errors
+            .errors
+            .iter()
+            .map(|e| ErrState {
+                occur: e.at_progress,
+                core: e.core.0 % num_cores,
+                kind: e.corruption,
+                latency: match e.corruption {
+                    Some(FaultKind::Crash) => 0,
+                    _ => cfg.errors.detection_latency,
+                },
+                occurred: false,
+                handled: false,
+            })
+            .collect();
+        let fault_mode =
+            errors.iter().any(|e| e.kind.is_some()) || !cfg.resilience.recovery_faults.is_empty();
         let mut initial = CheckpointRecord {
             begins_epoch: 0,
             progress: 0,
@@ -354,6 +340,7 @@ impl<'p, P: OmissionPolicy> BerEngine<'p, P> {
                 degraded: false,
             },
             errors,
+            fault_mode,
             checkpoints,
             retained_checkpoints,
             pending_recovery_faults,
@@ -684,13 +671,14 @@ impl<'p, P: OmissionPolicy> BerEngine<'p, P> {
 
     fn mark_occurrences(&mut self) {
         let progress = self.machine.total_retired();
-        // Checkpoint-first tie-break: a *real* fault whose occurrence
+        // Checkpoint-first tie-break: a corrupting error whose occurrence
         // point coincides exactly with a still-pending checkpoint trigger
         // is deferred until that checkpoint commits, so the corruption is
         // attributed to the epoch the checkpoint opens and never
-        // snapshots into the generation it lands beside. (Phantom errors
-        // corrupt nothing; their timing is left untouched so schedules
-        // derived by integer division keep their pinned results.)
+        // snapshots into the generation it lands beside. (Errors without
+        // a corruption have nothing to attribute; their timing is left
+        // untouched so schedules derived by integer division keep their
+        // pinned results.)
         let last_ckpt = self.checkpoints.back().map(|c| c.progress).unwrap_or(0);
         let pending_trigger = self
             .cfg
@@ -1012,11 +1000,9 @@ impl<'p, P: OmissionPolicy> BerEngine<'p, P> {
         let mut attempt = 0u32;
         let mut attempt_ok;
         let mut replay_integrity_failed = false;
-        let mut mirror_repairs = 0u64;
         let mut restored_records = 0u64;
         let mut recomputed_values = 0u64;
         let mut recompute_alu = 0u64;
-        let mut opbuf_reads = 0u64;
         let mut restore_recompute_total = 0u64;
         let mut bytes_moved = 0u64;
         let mut first_transfer = 0u64;
@@ -1098,7 +1084,6 @@ impl<'p, P: OmissionPolicy> BerEngine<'p, P> {
                     att_recomputed += 1;
                     applied += 1;
                     recompute_alu += rc.alu_ops;
-                    opbuf_reads += rc.opbuf_reads;
                     recompute_cycles_per_core[om.core as usize] += rc.cycles;
                     if let Some(led) = &mut self.hooks.ledger {
                         led.record_replay(rc.slice, rc.cycles, rc.alu_ops, rc.opbuf_reads);
@@ -1161,7 +1146,6 @@ impl<'p, P: OmissionPolicy> BerEngine<'p, P> {
                 // Repair the primary from the mirror: one full re-read of
                 // the retained log, charged like the restore traffic.
                 working = undone.clone();
-                mirror_repairs += 1;
                 let repair_bytes: u64 = undone
                     .iter()
                     .map(|e| e.records.len() as u64 * LOG_RECORD_BYTES)
@@ -1177,18 +1161,16 @@ impl<'p, P: OmissionPolicy> BerEngine<'p, P> {
         }
 
         // Oracle: restored state must match the safe checkpoint's shadow.
-        // Phantom errors corrupt nothing, so any mismatch is an engine bug
-        // and panics. Injected faults can legitimately defeat the log (a
+        // While no error corrupts anything, a mismatch is an engine bug
+        // and panics. A corruption can legitimately defeat the log (a
         // memory flip in a word the undone epochs never covered), and an
         // exhausted recovery-fault escalation leaves the image best-effort,
-        // so in either fault mode divergence is counted and reported.
-        let fault_mode =
-            !self.cfg.faults.is_empty() || !self.cfg.resilience.recovery_faults.is_empty();
+        // so in fault mode divergence is counted and reported.
         let mut shadow_divergence = 0u64;
         if let Some(shadow) = &safe.shadow_mem {
             match self.cfg.scheme {
                 Scheme::GlobalCoordinated => {
-                    if fault_mode {
+                    if self.fault_mode {
                         shadow_divergence = self
                             .machine
                             .mem()
@@ -1212,7 +1194,7 @@ impl<'p, P: OmissionPolicy> BerEngine<'p, P> {
                         let want = shadow[w.word_index()];
                         if got != want {
                             assert!(
-                                fault_mode,
+                                self.fault_mode,
                                 "restored word {w} differs from the safe checkpoint"
                             );
                             shadow_divergence += 1;
@@ -1356,8 +1338,6 @@ impl<'p, P: OmissionPolicy> BerEngine<'p, P> {
         self.report.replay_retries += u64::from(replay_retries);
         self.report.generation_fallbacks += u64::from(generation_fallbacks);
         self.publish_ckpt_metrics();
-        let _ = opbuf_reads; // charged by the policy's own statistics
-        let _ = mirror_repairs; // charged in bytes_moved and the stall
         Ok(())
     }
 }
@@ -1420,7 +1400,6 @@ mod tests {
             errors: ErrorSchedule::none(),
             oracle: true,
             secondary: None,
-            faults: Vec::new(),
             resilience: ResilienceConfig::default(),
         };
         let mut engine = BerEngine::new(m, NoOmission, cfg);
@@ -1455,7 +1434,6 @@ mod tests {
             errors: ErrorSchedule::uniform(total, 1, 5, 0.5),
             oracle: true,
             secondary: None,
-            faults: Vec::new(),
             resilience: ResilienceConfig::default(),
         };
         let mut engine = BerEngine::new(m, NoOmission, cfg);
@@ -1484,7 +1462,6 @@ mod tests {
                 errors: ErrorSchedule::uniform(total, n_err, 8, 0.4),
                 oracle: true,
                 secondary: None,
-                faults: Vec::new(),
                 resilience: ResilienceConfig::default(),
             };
             let mut engine = BerEngine::new(m, NoOmission, cfg);
@@ -1506,7 +1483,6 @@ mod tests {
                 errors,
                 oracle: false,
                 secondary: None,
-                faults: Vec::new(),
                 resilience: ResilienceConfig::default(),
             };
             BerEngine::new(m, NoOmission, cfg)
@@ -1530,7 +1506,6 @@ mod tests {
             errors: ErrorSchedule::none(),
             oracle: true,
             secondary: None,
-            faults: Vec::new(),
             resilience: ResilienceConfig::default(),
         };
         let mut engine = BerEngine::new(m, NoOmission, cfg);
@@ -1551,7 +1526,6 @@ mod tests {
             errors: ErrorSchedule::uniform(total, 1, 5, 0.3),
             oracle: true,
             secondary: None,
-            faults: Vec::new(),
             resilience: ResilienceConfig::default(),
         };
         let mut engine = BerEngine::new(m, NoOmission, cfg);
@@ -1574,7 +1548,6 @@ mod tests {
             errors: ErrorSchedule::none(),
             oracle: false,
             secondary: None,
-            faults: Vec::new(),
             resilience: ResilienceConfig::default(),
         };
         let mut engine = BerEngine::new(m, NoOmission, cfg);
@@ -1630,7 +1603,6 @@ mod secondary_tests {
             errors: ErrorSchedule::none(),
             oracle: false,
             secondary,
-            faults: Vec::new(),
             resilience: ResilienceConfig::default(),
         };
         BerEngine::new(m, NoOmission, cfg)
@@ -1704,7 +1676,6 @@ mod edge_tests {
                 errors,
                 oracle: true,
                 secondary: None,
-                faults: Vec::new(),
                 resilience: ResilienceConfig::default(),
             },
         )
@@ -1715,10 +1686,7 @@ mod edge_tests {
         let p = program();
         let (total, want) = reference(&p);
         // Error very early, detected before the first trigger.
-        let errors = ErrorSchedule {
-            occurrences: vec![total / 50],
-            detection_latency: total / 50,
-        };
+        let errors = ErrorSchedule::at(&[total / 50], total / 50);
         let mut e = engine_with(&p, uniform_points(total, 4), errors);
         let rep = e.run_to_completion().unwrap();
         assert_eq!(rep.errors_handled, 1);
@@ -1732,10 +1700,7 @@ mod edge_tests {
         let (total, want) = reference(&p);
         // Occurs just before the end; detection point lies beyond the end
         // of execution, so the engine must force-handle it at halt.
-        let errors = ErrorSchedule {
-            occurrences: vec![total - total / 100],
-            detection_latency: total / 4,
-        };
+        let errors = ErrorSchedule::at(&[total - total / 100], total / 4);
         let mut e = engine_with(&p, uniform_points(total, 4), errors);
         let rep = e.run_to_completion().unwrap();
         assert_eq!(rep.errors_handled, 1);
@@ -1749,10 +1714,7 @@ mod edge_tests {
         // Two errors in quick succession: the rollback for the first also
         // undoes the second's corruption (occur >= safe progress), so only
         // one recovery happens but both count as handled.
-        let errors = ErrorSchedule {
-            occurrences: vec![total / 2, total / 2 + total / 100],
-            detection_latency: total / 10,
-        };
+        let errors = ErrorSchedule::at(&[total / 2, total / 2 + total / 100], total / 10);
         let mut e = engine_with(&p, uniform_points(total, 8), errors);
         let rep = e.run_to_completion().unwrap();
         assert_eq!(rep.errors_handled, 2);
@@ -1767,10 +1729,7 @@ mod edge_tests {
         // Fig 2: the error occurs just before a checkpoint and is detected
         // after it — the engine must roll back PAST that checkpoint.
         let trigger = total / 2;
-        let errors = ErrorSchedule {
-            occurrences: vec![trigger - total / 200],
-            detection_latency: total / 50,
-        };
+        let errors = ErrorSchedule::at(&[trigger - total / 200], total / 50);
         let mut e = engine_with(&p, vec![total / 4, trigger, 3 * total / 4], errors);
         let rep = e.run_to_completion().unwrap();
         assert_eq!(rep.errors_handled, 1);
@@ -1784,10 +1743,7 @@ mod edge_tests {
     fn zero_triggers_still_recovers_to_start() {
         let p = program();
         let (total, want) = reference(&p);
-        let errors = ErrorSchedule {
-            occurrences: vec![total / 3],
-            detection_latency: total / 10,
-        };
+        let errors = ErrorSchedule::at(&[total / 3], total / 10);
         let mut e = engine_with(&p, Vec::new(), errors);
         let rep = e.run_to_completion().unwrap();
         assert_eq!(rep.checkpoints_taken, 0);
@@ -1804,7 +1760,7 @@ mod resilience_tests {
     use crate::schedule::{uniform_points, ErrorSchedule};
     use acr_isa::{AluOp, Program, ProgramBuilder, Reg};
     use acr_mem::CoreId;
-    use acr_sim::{MachineConfig, NoHooks};
+    use acr_sim::{Fault, MachineConfig, NoHooks};
 
     fn program() -> Program {
         let mut b = ProgramBuilder::new(1);
@@ -1833,10 +1789,7 @@ mod resilience_tests {
         total: u64,
         resilience: ResilienceConfig,
     ) -> (BerReport, Vec<u64>, bool) {
-        let errors = ErrorSchedule {
-            occurrences: vec![total / 2 + total / 20],
-            detection_latency: total / 20,
-        };
+        let errors = ErrorSchedule::at(&[total / 2 + total / 20], total / 20);
         let m = Machine::new(MachineConfig::with_cores(1), p);
         let mut e = BerEngine::new(
             m,
@@ -1847,7 +1800,6 @@ mod resilience_tests {
                 errors,
                 oracle: true,
                 secondary: None,
-                faults: Vec::new(),
                 resilience,
             },
         );
@@ -1979,13 +1931,9 @@ mod resilience_tests {
             BerConfig {
                 scheme: Scheme::GlobalCoordinated,
                 triggers: uniform_points(total, 6),
-                errors: ErrorSchedule {
-                    occurrences: vec![total / 2 + total / 20],
-                    detection_latency: total / 20,
-                },
+                errors: ErrorSchedule::at(&[total / 2 + total / 20], total / 20),
                 oracle: true,
                 secondary: None,
-                faults: Vec::new(),
                 resilience: ResilienceConfig {
                     // The flip corrupts the first restore pass; a 1-cycle
                     // budget is exhausted before the retry can repair it.
@@ -2065,16 +2013,16 @@ mod resilience_tests {
                 scheme: Scheme::GlobalCoordinated,
                 triggers: vec![trigger],
                 errors: ErrorSchedule {
-                    occurrences: Vec::new(),
+                    errors: vec![Fault {
+                        at_progress: trigger,
+                        core: CoreId(0),
+                        kind: FaultKind::Crash,
+                    }
+                    .into()],
                     detection_latency: total / 20,
                 },
                 oracle: true,
                 secondary: None,
-                faults: vec![Fault {
-                    at_progress: trigger,
-                    core: CoreId(0),
-                    kind: FaultKind::Crash,
-                }],
                 resilience: ResilienceConfig::default(),
             },
         );

@@ -20,10 +20,14 @@
 //! ## Correctness oracle
 //!
 //! With [`BerConfig::oracle`] enabled the engine snapshots functional
-//! memory at every checkpoint (zero simulated cost) and asserts, after
+//! memory at every checkpoint (zero simulated cost) and checks, after
 //! every recovery, that the restored words are bit-identical to the
-//! snapshot — with and without omission. Property tests in the workspace
-//! fuzz programs and error schedules over this invariant.
+//! snapshot — with and without omission. While no scheduled error carries
+//! a corruption (and no recovery fault is planned) a mismatch can only be
+//! an engine bug, so the check asserts; otherwise it counts divergent
+//! words, because a memory corruption can legitimately defeat the log.
+//! Property tests in the workspace fuzz programs and error schedules over
+//! this invariant.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,7 +62,7 @@ pub use postmortem::{
     EscalationStep, EventRecord, PostmortemBundle, RingDigest, POSTMORTEM_SCHEMA,
 };
 pub use report::{BerReport, IntervalRecord, RecoveryRecord};
-pub use schedule::{uniform_points, ErrorSchedule};
+pub use schedule::{detection_latency, uniform_points, ErrorSchedule, ScheduledError};
 pub use shrink::{
     dense_fault_plan, fault_from_json, fault_to_json, replay_case, shrink_case, CaseFailure,
     ShrinkConfig, ShrinkOutcome, REPRO_SCHEMA,

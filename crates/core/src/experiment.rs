@@ -4,10 +4,10 @@ use std::fmt;
 use std::sync::Arc;
 
 use acr_ckpt::{
-    dense_fault_plan, replay_case, run_campaign_loads, shrink_case, BerConfig, BerEngine,
-    BerReport, CampaignConfig, CampaignError, CampaignReport, CaseFailure, DecisionLedger,
-    ErrorSchedule, NoOmission, ResilienceConfig, Scheme, SecondaryStorage, ShrinkConfig,
-    ShrinkOutcome,
+    dense_fault_plan, detection_latency, replay_case, run_campaign_loads, shrink_case, BerConfig,
+    BerEngine, BerReport, CampaignConfig, CampaignError, CampaignReport, CaseFailure, CkptError,
+    DecisionLedger, ErrorSchedule, NoOmission, ResilienceConfig, Scheme, SecondaryStorage,
+    ShrinkConfig, ShrinkOutcome,
 };
 use acr_energy::{edp, EnergyBreakdown, EnergyInputs, EnergyModel};
 use acr_isa::{Program, ProgramError, Slice};
@@ -60,6 +60,12 @@ impl From<SimError> for ExperimentError {
 impl From<CampaignError> for ExperimentError {
     fn from(e: CampaignError) -> Self {
         ExperimentError::Campaign(e)
+    }
+}
+
+impl From<CkptError> for ExperimentError {
+    fn from(e: CkptError) -> Self {
+        ExperimentError::Campaign(e.into())
     }
 }
 
@@ -316,9 +322,7 @@ impl Experiment {
     pub fn new(raw: Program, spec: ExperimentSpec) -> Result<Self, ExperimentError> {
         raw.validate()?;
         if raw.num_threads() == 0 {
-            return Err(ExperimentError::Campaign(
-                acr_ckpt::CkptError::NoCores.into(),
-            ));
+            return Err(CkptError::NoCores.into());
         }
         if raw.num_threads() > 64 || spec.machine.num_cores > 64 {
             let what = format!(
@@ -326,9 +330,7 @@ impl Experiment {
                 raw.num_threads(),
                 spec.machine.num_cores
             );
-            return Err(ExperimentError::Campaign(
-                acr_ckpt::CkptError::Unsupported { what }.into(),
-            ));
+            return Err(CkptError::Unsupported { what }.into());
         }
         Ok(Experiment {
             raw,
@@ -424,12 +426,12 @@ impl Experiment {
         let schedule = if errors == 0 {
             ErrorSchedule::none()
         } else {
-            ErrorSchedule::uniform(
+            ErrorSchedule::try_uniform(
                 total,
                 errors,
                 self.spec.num_checkpoints,
                 self.spec.detection_latency_frac,
-            )
+            )?
         };
         let triggers = match &self.spec.custom_triggers {
             Some(t) => t.clone(),
@@ -441,7 +443,6 @@ impl Experiment {
             errors: schedule,
             oracle: self.spec.oracle,
             secondary: self.spec.secondary,
-            faults: Vec::new(),
             resilience: self.spec.resilience.clone(),
         })
     }
@@ -488,25 +489,28 @@ impl Experiment {
         self.run_acr_engine(cfg, label)
     }
 
-    /// ACR under *real* injected faults (state corruption, not phantom
-    /// errors): the trace/metrics runner behind `acr_cli trace`. Detection
-    /// follows the spec's latency fraction, the shadow-memory oracle is
-    /// forced on, and every fault becomes a recovery with Slice-replay
-    /// sub-spans in the trace.
+    /// ACR under errors that each corrupt state (one per fault): the
+    /// trace/metrics runner behind `acr_cli trace`. Detection follows the
+    /// spec's latency fraction, the shadow-memory oracle is forced on, and
+    /// every fault becomes a recovery with Slice-replay sub-spans in the
+    /// trace.
     ///
     /// # Errors
     ///
-    /// Propagates simulator errors.
+    /// Propagates simulator errors; rejects a detection latency outside
+    /// `[0, 1]` of the checkpoint period.
     pub fn run_reckpt_faulted(&mut self, faults: Vec<Fault>) -> Result<RunResult, ExperimentError> {
         let total = self.total_work()?;
-        let period = total / (u64::from(self.spec.num_checkpoints) + 1);
         let mut cfg = self.ber_config(0)?;
         cfg.errors = ErrorSchedule {
-            occurrences: Vec::new(),
-            detection_latency: (period as f64 * self.spec.detection_latency_frac) as u64,
+            errors: faults.into_iter().map(Into::into).collect(),
+            detection_latency: detection_latency(
+                total,
+                self.spec.num_checkpoints,
+                self.spec.detection_latency_frac,
+            )?,
         };
         cfg.oracle = true;
-        cfg.faults = faults;
         self.run_acr_engine(cfg, "ReCkpt_F".to_owned())
     }
 
@@ -576,25 +580,8 @@ impl Experiment {
     ) -> Result<CampaignRunResult, ExperimentError> {
         let machine = self.spec.machine;
         let (label, (report, host_loads)) = if amnesic {
-            let addrmap = self.spec.addrmap;
-            let scratchpad = self.spec.scratchpad;
-            let (program, _) = self.instrumented_shared();
-            // Match the per-case engines' retention depth (nested-fault
-            // campaigns force at least two generations).
-            let generations = if cfg.recovery_faults {
-                cfg.generations.max(2)
-            } else {
-                cfg.generations.max(1)
-            };
-            // One shared Slice table for the whole campaign; each case's
-            // policy bumps a refcount instead of cloning the table.
-            let slices: Arc<[Slice]> = program.slices().into();
-            let num_threads = program.num_threads();
-            let report = run_campaign_loads(&program, machine, cfg, || {
-                AcrPolicy::new(Arc::clone(&slices), addrmap, num_threads)
-                    .with_scratchpad(scratchpad)
-                    .with_generations(generations)
-            })?;
+            let (program, policy) = self.campaign_policy(cfg);
+            let report = run_campaign_loads(&program, machine, cfg, policy)?;
             ("Inject_ReCkpt", report)
         } else {
             (
@@ -621,6 +608,28 @@ impl Experiment {
             report,
             host_loads,
         })
+    }
+
+    /// The instrumented program plus a factory building one fresh
+    /// [`AcrPolicy`] per fault case, retaining as many generations as the
+    /// case engines do. All policies share one Slice table: each bumps a
+    /// refcount instead of cloning it.
+    fn campaign_policy(
+        &mut self,
+        cfg: &CampaignConfig,
+    ) -> (Arc<Program>, impl Fn() -> AcrPolicy + Sync) {
+        let addrmap = self.spec.addrmap;
+        let scratchpad = self.spec.scratchpad;
+        let generations = cfg.retained_generations();
+        let (program, _) = self.instrumented_shared();
+        let slices: Arc<[Slice]> = program.slices().into();
+        let num_threads = program.num_threads();
+        let policy = move || {
+            AcrPolicy::new(Arc::clone(&slices), addrmap, num_threads)
+                .with_scratchpad(scratchpad)
+                .with_generations(generations)
+        };
+        (program, policy)
     }
 
     /// Plans one *dense* multi-fault case over this workload: the seeded
@@ -669,28 +678,9 @@ impl Experiment {
     ) -> Result<ShrinkOutcome, ExperimentError> {
         let machine = self.spec.machine;
         if amnesic {
-            let addrmap = self.spec.addrmap;
-            let scratchpad = self.spec.scratchpad;
-            let (program, _) = self.instrumented_shared();
-            let generations = if cfg.recovery_faults {
-                cfg.generations.max(2)
-            } else {
-                cfg.generations.max(1)
-            };
-            let slices: Arc<[Slice]> = program.slices().into();
-            let num_threads = program.num_threads();
+            let (program, policy) = self.campaign_policy(cfg);
             Ok(shrink_case(
-                &program,
-                machine,
-                cfg,
-                case_index,
-                faults,
-                shrink_cfg,
-                || {
-                    AcrPolicy::new(Arc::clone(&slices), addrmap, num_threads)
-                        .with_scratchpad(scratchpad)
-                        .with_generations(generations)
-                },
+                &program, machine, cfg, case_index, faults, shrink_cfg, policy,
             )?)
         } else {
             Ok(shrink_case(
@@ -723,27 +713,9 @@ impl Experiment {
     ) -> Result<Option<CaseFailure>, ExperimentError> {
         let machine = self.spec.machine;
         if amnesic {
-            let addrmap = self.spec.addrmap;
-            let scratchpad = self.spec.scratchpad;
-            let (program, _) = self.instrumented_shared();
-            let generations = if cfg.recovery_faults {
-                cfg.generations.max(2)
-            } else {
-                cfg.generations.max(1)
-            };
-            let slices: Arc<[Slice]> = program.slices().into();
-            let num_threads = program.num_threads();
+            let (program, policy) = self.campaign_policy(cfg);
             Ok(replay_case(
-                &program,
-                machine,
-                cfg,
-                case_index,
-                faults,
-                || {
-                    AcrPolicy::new(Arc::clone(&slices), addrmap, num_threads)
-                        .with_scratchpad(scratchpad)
-                        .with_generations(generations)
-                },
+                &program, machine, cfg, case_index, faults, policy,
             )?)
         } else {
             Ok(replay_case(

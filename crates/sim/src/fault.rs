@@ -206,6 +206,26 @@ impl FaultKindSet {
         }
     }
 
+    /// Labels of the enabled kinds, in the fixed order reg, pc, mem,
+    /// burst, stuck, crash — the order [`FaultPlan::generate`] draws from,
+    /// so it pins every plan. The memory kinds (mem, burst, stuck) are
+    /// listed only when `has_mem_targets`: they need a written word to
+    /// land on.
+    pub fn labels(&self, has_mem_targets: bool) -> Vec<&'static str> {
+        let mem = has_mem_targets;
+        [
+            ("reg", self.reg),
+            ("pc", self.pc),
+            ("mem", self.mem && mem),
+            ("burst", self.burst && mem),
+            ("stuck", self.stuck && mem),
+            ("crash", self.crash),
+        ]
+        .into_iter()
+        .filter_map(|(label, on)| on.then_some(label))
+        .collect()
+    }
+
     /// Parses a comma-separated list of kind labels (e.g. `"reg,mem"` or
     /// `"burst,stuck"`), or the shorthands `"all"` (classic kinds),
     /// `"recoverable"`, and `"adversarial"` (everything).
@@ -337,25 +357,7 @@ impl FaultPlan {
     pub fn generate(cfg: &FaultPlanConfig) -> FaultPlan {
         assert!(cfg.total_progress >= 2, "program too short to inject into");
         assert!(cfg.cores >= 1, "need at least one core");
-        let mut kinds: Vec<&str> = Vec::new();
-        if cfg.kinds.reg {
-            kinds.push("reg");
-        }
-        if cfg.kinds.pc {
-            kinds.push("pc");
-        }
-        if cfg.kinds.mem && !cfg.mem_targets.is_empty() {
-            kinds.push("mem");
-        }
-        if cfg.kinds.burst && !cfg.mem_targets.is_empty() {
-            kinds.push("burst");
-        }
-        if cfg.kinds.stuck && !cfg.mem_targets.is_empty() {
-            kinds.push("stuck");
-        }
-        if cfg.kinds.crash {
-            kinds.push("crash");
-        }
+        let kinds = cfg.kinds.labels(!cfg.mem_targets.is_empty());
         assert!(!kinds.is_empty(), "no injectable fault kind enabled");
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         // Storm schedules consume RNG draws up front; the `None` path
@@ -605,6 +607,19 @@ mod tests {
             cores: 4,
             mem_targets: vec![WordAddr::new(0), WordAddr::new(64), WordAddr::new(128)],
             storm: None,
+        }
+    }
+
+    #[test]
+    fn kind_labels_keep_plan_order_and_round_trip() {
+        let every = FaultKindSet::adversarial();
+        assert_eq!(
+            every.labels(true),
+            ["reg", "pc", "mem", "burst", "stuck", "crash"]
+        );
+        assert_eq!(every.labels(false), ["reg", "pc", "crash"]);
+        for k in [every, FaultKindSet::all(), FaultKindSet::recoverable()] {
+            assert_eq!(FaultKindSet::parse(&k.labels(true).join(",")), Ok(k));
         }
     }
 

@@ -418,7 +418,7 @@ static KINDS: Flag = Flag::sim(
     "--kinds",
     "SET",
     "kinds",
-    |a| kinds_str(a.kinds),
+    |a| a.kinds.labels(true).join(","),
     "fault kinds: all | recoverable | adversarial | comma list of \
      reg,pc,mem,burst,stuck,crash",
     |a, v| store(&mut a.kinds, FaultKindSet::parse(v)),
@@ -1143,30 +1143,6 @@ fn scheme_str(s: Scheme) -> &'static str {
         Scheme::GlobalCoordinated => "global",
         Scheme::LocalCoordinated => "local",
     }
-}
-
-/// The fault-kind set as the comma list `--kinds` accepts.
-fn kinds_str(k: FaultKindSet) -> String {
-    let mut kinds = Vec::new();
-    if k.reg {
-        kinds.push("reg");
-    }
-    if k.pc {
-        kinds.push("pc");
-    }
-    if k.mem {
-        kinds.push("mem");
-    }
-    if k.burst {
-        kinds.push("burst");
-    }
-    if k.stuck {
-        kinds.push("stuck");
-    }
-    if k.crash {
-        kinds.push("crash");
-    }
-    kinds.join(",")
 }
 
 /// A storm schedule as the `G,B` spec `--storm` accepts (`off` when

@@ -3,11 +3,16 @@
 //! recovered execution must (a) pass the engine's shadow-memory oracle at
 //! every recovery and (b) finish with exactly the reference memory image.
 
-use acr::{Experiment, ExperimentSpec};
+use acr::{AcrPolicy, AddrMapConfig, Experiment, ExperimentSpec};
+use acr_ckpt::{
+    detection_latency, uniform_points, BerConfig, BerEngine, BerReport, ErrorSchedule, NoOmission,
+    OmissionPolicy, ResilienceConfig, ScheduledError, Scheme,
+};
 use acr_isa::{AluOp, Program, ProgramBuilder, Reg};
+use acr_mem::CoreId;
 use acr_rng::check::forall;
 use acr_rng::SmallRng;
-use acr_sim::{Machine, MachineConfig, NoHooks};
+use acr_sim::{FaultKindSet, FaultPlan, FaultPlanConfig, Machine, MachineConfig, NoHooks};
 
 /// A small parametric kernel family: each thread runs `sweeps` passes
 /// over `words` private words, with a per-thread op/constant mix, an
@@ -127,6 +132,100 @@ fn recovered_execution_matches_reference() {
             assert_eq!(reference(&again, params.threads), want);
         },
     );
+}
+
+/// Runs `program` under the BER engine with the oracle on and returns the
+/// report plus the final memory image.
+fn run_schedule<P: OmissionPolicy>(
+    program: &Program,
+    threads: u32,
+    policy: P,
+    triggers: Vec<u64>,
+    errors: ErrorSchedule,
+) -> (BerReport, Vec<u64>) {
+    let machine = Machine::new(MachineConfig::with_cores(threads), program);
+    let cfg = BerConfig {
+        scheme: Scheme::GlobalCoordinated,
+        triggers,
+        errors,
+        oracle: true,
+        secondary: None,
+        resilience: ResilienceConfig::default(),
+    };
+    let mut engine = BerEngine::new(machine, policy, cfg);
+    let rep = engine.run_to_completion().expect("recoverable run");
+    (rep, engine.machine().mem().image().words().to_vec())
+}
+
+/// One error list mixes corruption-free errors with guaranteed-recoverable
+/// corruptions (register and pc flips, crashes), in arbitrary order. Plain
+/// and amnesic alike, every error is handled, the oracle counts zero
+/// divergent words, and the run ends on the reference image.
+#[test]
+fn mixed_error_schedule_recovers() {
+    forall("mixed_error_schedule_recovers", 24, 0x2EC0_0003, |rng| {
+        let params = gen_params(rng);
+        let checkpoints = rng.gen_range(2..8u32);
+        let latency = *rng.choose(&[0.1f64, 0.5, 0.9]);
+        let program = build(&params);
+        let want = reference(&program, params.threads);
+        let mut m = Machine::new(MachineConfig::with_cores(params.threads), &program);
+        m.run(&mut NoHooks, u64::MAX).expect("reference");
+        let total = m.total_retired();
+
+        let corruptions = FaultPlan::generate(&FaultPlanConfig {
+            seed: rng.gen_range(0..u64::MAX),
+            count: rng.gen_range(1..3u32),
+            kinds: FaultKindSet::recoverable(),
+            total_progress: total,
+            cores: params.threads,
+            mem_targets: Vec::new(),
+            storm: None,
+        })
+        .faults;
+        let mut errors: Vec<ScheduledError> = (0..rng.gen_range(1..3u32))
+            .map(|_| ScheduledError {
+                at_progress: rng.gen_range(1..total),
+                core: CoreId(rng.gen_range(0..params.threads)),
+                corruption: None,
+            })
+            .chain(corruptions.iter().map(|&f| f.into()))
+            .collect();
+        let k = rng.gen_range(0..errors.len());
+        errors.rotate_left(k);
+        let n = errors.len() as u64;
+        let schedule = ErrorSchedule {
+            errors,
+            detection_latency: detection_latency(total, checkpoints, latency).expect("in range"),
+        };
+        let triggers = uniform_points(total, checkpoints);
+
+        let mut exp =
+            Experiment::new(program.clone(), ExperimentSpec::default()).expect("valid program");
+        let (instrumented, stats) = exp.instrumented();
+        let acr = AcrPolicy::new(
+            instrumented.slices(),
+            AddrMapConfig::default(),
+            instrumented.num_threads(),
+        )
+        .with_rejected_pcs(&stats.rejected_store_pcs);
+        let runs = [
+            run_schedule(
+                &program,
+                params.threads,
+                NoOmission,
+                triggers.clone(),
+                schedule.clone(),
+            ),
+            run_schedule(instrumented, params.threads, acr, triggers, schedule),
+        ];
+        for (rep, mem) in runs {
+            assert_eq!(rep.errors_handled, n, "every error handled");
+            assert_eq!(rep.faults_injected, corruptions.len() as u64);
+            assert_eq!(rep.divergent_words, 0);
+            assert_eq!(mem, want, "final image matches the reference");
+        }
+    });
 }
 
 /// The recovery ordering invariant: with more errors, execution never
