@@ -1,5 +1,5 @@
-//! Golden campaign content hashes, plus one digest of the phantom-error
-//! path the paper figures run through.
+//! Golden campaign content hashes, plus digests of the phantom-error
+//! path the paper figures run through and of the compiler pass's output.
 //!
 //! These tests replicate `acr_cli inject`'s exact campaign construction —
 //! workload list, per-workload fault split, seed offsets, spec and
@@ -22,6 +22,7 @@
 use acr::{run_campaign_sweep, CampaignSweepItem, Experiment, ExperimentSpec};
 use acr_ckpt::{CampaignConfig, Scheme};
 use acr_sim::FaultKindSet;
+use acr_slicer::{instrument, SliceStats, SlicerConfig};
 use acr_trace::Fnv1a;
 use acr_workloads::{generate, Benchmark, WorkloadConfig};
 
@@ -138,6 +139,80 @@ fn golden_hash_phantom_errors() {
         phantom_digest(),
         0xa8e2192ff0adb0c2,
         "phantom-error digest moved"
+    );
+}
+
+/// Folds a value's `Debug` rendering, length-prefixed.
+fn fold_debug(h: &mut Fnv1a, v: &dyn std::fmt::Debug) {
+    let s = format!("{v:?}");
+    h.write_u64(s.len() as u64);
+    h.write(s.as_bytes());
+}
+
+/// FNV-1a digest of the compiler pass's output on the paper-figure
+/// programs (all eight kernels, default 8-thread scale-1.0 config) at
+/// Slice thresholds 5, 10 and 50: every instruction of every instrumented
+/// thread, its label regions, the embedded Slice table and every
+/// [`SliceStats`] field.
+fn instrumentation_digest() -> u64 {
+    let mut h = Fnv1a::new();
+    for bench in Benchmark::ALL {
+        let program = generate(bench, &WorkloadConfig::default());
+        for threshold in [5, 10, 50] {
+            let (ip, stats) = instrument(&program, &SlicerConfig { threshold });
+            for (t, code) in ip.threads().iter().enumerate() {
+                h.write_u64(code.len() as u64);
+                for instr in code.instrs() {
+                    fold_debug(&mut h, instr);
+                }
+                fold_debug(&mut h, &ip.thread_labels(t as u32));
+            }
+            h.write_u64(ip.slices().len() as u64);
+            for slice in ip.slices() {
+                fold_debug(&mut h, slice);
+            }
+            // Destructured so a new field cannot escape the pin.
+            let SliceStats {
+                static_stores,
+                sliced_stores,
+                rejected_too_long,
+                rejected_threshold_filter,
+                rejected_store_pcs,
+                rejected_no_arith,
+                rejected_too_many_inputs,
+                rejected_input_clobbered,
+                length_histogram,
+                unique_slices,
+                embedded_slice_instrs,
+            } = stats;
+            for v in [
+                static_stores,
+                sliced_stores,
+                rejected_too_long,
+                rejected_threshold_filter,
+                rejected_no_arith,
+                rejected_too_many_inputs,
+                rejected_input_clobbered,
+                unique_slices,
+                embedded_slice_instrs,
+            ] {
+                h.write_u64(v);
+            }
+            fold_debug(&mut h, &rejected_store_pcs);
+            fold_debug(&mut h, &length_histogram);
+        }
+    }
+    h.finish()
+}
+
+/// The compiler-pass pin: the instrumented binaries every result path
+/// simulates must not move when the slicer changes.
+#[test]
+fn golden_hash_instrumentation() {
+    assert_eq!(
+        instrumentation_digest(),
+        0xf31f8467b3c81bfe,
+        "instrumentation digest moved"
     );
 }
 
