@@ -69,9 +69,9 @@ impl Reg {
     ///
     /// The index is masked to [`crate::NUM_REGS`] (a power of two) so the
     /// simulator's register files can be indexed without bounds checks on
-    /// the hottest path. The assembler rejects out-of-range registers and
-    /// every in-tree generator stays below the limit, so the mask is a
-    /// no-op on any program that can actually be built or parsed.
+    /// the hottest path. The assembler and [`crate::Program::validate`]
+    /// reject out-of-range registers (and `Experiment::new` validates), so
+    /// the mask is a no-op on any program that validates.
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize & (crate::NUM_REGS - 1)

@@ -2,8 +2,9 @@
 
 use std::fmt;
 
-use crate::instr::Instr;
+use crate::instr::{Instr, Reg};
 use crate::slice::{Slice, SliceId};
+use crate::NUM_REGS;
 
 /// Identifier of a hardware thread (== core in this study: the paper pins
 /// one thread per core).
@@ -175,6 +176,16 @@ pub enum ProgramError {
         /// Offending thread.
         thread: ThreadId,
     },
+    /// An instruction names a register outside the register file
+    /// (`r0`..`r31`).
+    BadRegister {
+        /// Offending thread.
+        thread: ThreadId,
+        /// Instruction index.
+        pc: u32,
+        /// The out-of-range register.
+        reg: Reg,
+    },
 }
 
 impl fmt::Display for ProgramError {
@@ -201,6 +212,11 @@ impl fmt::Display for ProgramError {
             ProgramError::MissingHalt { thread } => {
                 write!(f, "{thread}: instruction stream does not end with halt")
             }
+            ProgramError::BadRegister { thread, pc, reg } => write!(
+                f,
+                "{thread}@{pc}: register {reg} outside r0..r{}",
+                NUM_REGS - 1
+            ),
         }
     }
 }
@@ -338,8 +354,9 @@ impl Program {
         mix
     }
 
-    /// Structural validation: branch targets in range, `ASSOC-ADDR` adjacency
-    /// and slice-table references, `Halt` termination, valid slices.
+    /// Structural validation: registers inside the register file, branch
+    /// targets in range, `ASSOC-ADDR` adjacency and slice-table references,
+    /// `Halt` termination, valid slices.
     ///
     /// # Errors
     ///
@@ -354,6 +371,9 @@ impl Program {
             }
             for (pc, instr) in code.instrs().iter().enumerate() {
                 let pc = pc as u32;
+                if let Some(reg) = out_of_range_register(instr) {
+                    return Err(ProgramError::BadRegister { thread, pc, reg });
+                }
                 match instr {
                     Instr::Branch { target, .. } | Instr::Jump { target } if *target >= n => {
                         return Err(ProgramError::BadTarget {
@@ -391,10 +411,30 @@ impl Program {
     }
 }
 
+/// The first register `instr` names outside the register file, if any
+/// (`Instr::uses` would allocate, and `validate` runs on every generated
+/// workload).
+fn out_of_range_register(instr: &Instr) -> Option<Reg> {
+    let regs = match *instr {
+        Instr::Imm { rd, .. } => [Some(rd), None, None],
+        Instr::Alu { rd, ra, rb, .. } => [Some(rd), Some(ra), Some(rb)],
+        Instr::AluI { rd, ra, .. } | Instr::Load { rd, base: ra, .. } => [Some(rd), Some(ra), None],
+        Instr::Store { rs, base, .. } => [Some(rs), Some(base), None],
+        Instr::Branch { ra, rb, .. } => [Some(ra), Some(rb), None],
+        Instr::AssocAddr { inputs, .. } => {
+            return inputs.iter().find(|r| usize::from(r.0) >= NUM_REGS)
+        }
+        Instr::Jump { .. } | Instr::Barrier | Instr::Halt => return None,
+    };
+    regs.into_iter()
+        .flatten()
+        .find(|r| usize::from(r.0) >= NUM_REGS)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instr::{AluOp, InputRegs, Reg};
+    use crate::instr::{AluOp, InputRegs};
     use crate::slice::{SliceInstr, SliceOperand};
 
     fn one_slice() -> Slice {
@@ -529,5 +569,65 @@ mod tests {
             p.validate(),
             Err(ProgramError::MissingHalt { .. })
         ));
+    }
+
+    #[test]
+    fn validate_rejects_out_of_range_registers() {
+        // The builder accepts any `Reg(u8)`; the simulator would mask r40
+        // to r8 while the slicer keys on the raw index, so validation is
+        // where such a program must stop.
+        let mut b = crate::ProgramBuilder::new(1);
+        let t = b.thread(0);
+        t.imm(Reg(1), 1);
+        t.alu(AluOp::Add, Reg(2), Reg(1), Reg(40));
+        t.halt();
+        let p = b.build();
+        assert_eq!(
+            p.validate(),
+            Err(ProgramError::BadRegister {
+                thread: ThreadId(0),
+                pc: 1,
+                reg: Reg(40),
+            })
+        );
+        let e = p.validate().unwrap_err().to_string();
+        assert!(e.contains("r40") && e.contains("r31"), "{e}");
+
+        // Every operand position is checked, the register file's top included.
+        for instr in [
+            Instr::Imm {
+                rd: Reg(32),
+                imm: 0,
+            },
+            Instr::Store {
+                rs: Reg(1),
+                base: Reg(255),
+                disp: 0,
+            },
+            Instr::Branch {
+                cond: crate::instr::BranchCond::Eq,
+                ra: Reg(0),
+                rb: Reg(32),
+                target: 0,
+            },
+        ] {
+            let p = Program::new(vec![ThreadCode::new(vec![instr, Instr::Halt])], vec![], 0);
+            assert!(matches!(
+                p.validate(),
+                Err(ProgramError::BadRegister { .. })
+            ));
+        }
+        let p = Program::new(
+            vec![ThreadCode::new(vec![
+                Instr::Imm {
+                    rd: Reg(31),
+                    imm: 0,
+                },
+                Instr::Halt,
+            ])],
+            vec![],
+            0,
+        );
+        assert_eq!(p.validate(), Ok(()));
     }
 }

@@ -1,9 +1,10 @@
-//! Backward slice extraction for a single store.
+//! Backward slice extraction: one forward use-def pass per basic block.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use acr_isa::{Instr, Reg, Slice, SliceInstr, SliceOperand, ThreadCode, MAX_SLICE_INPUTS};
+use acr_isa::{
+    AluOp, Instr, Reg, Slice, SliceInstr, SliceOperand, ThreadCode, MAX_SLICE_INPUTS, NUM_REGS,
+};
 
 use crate::block::{basic_blocks, block_of};
 
@@ -54,19 +55,14 @@ pub struct ExtractedSlice {
 
 /// Hard cap on extracted slice length; Table II sweeps thresholds up to
 /// 50, so anything beyond this is never useful.
-const HARD_LEN_CAP: usize = 256;
+pub(crate) const HARD_LEN_CAP: usize = 256;
 
-/// How the backward walk resolved a demanded register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Resolution {
-    /// Constant-folded immediate.
-    Imm(u64),
-    /// Slice input (load result or block live-in), resolved at `def_pc`
-    /// (`None` for live-ins, conceptually resolved at block entry).
-    Input { def_pc: Option<u32> },
-    /// An included arithmetic instruction at `pc`.
-    Arith { pc: u32 },
-}
+/// The def pc of a register with no def yet in the current block: a
+/// block live-in.
+const LIVE_IN: u32 = u32::MAX;
+
+// Register sets are `u32` masks.
+const _: () = assert!(NUM_REGS <= 32);
 
 /// Extracts the backward slice for the store at `store_pc` of thread
 /// `code`.
@@ -78,173 +74,259 @@ pub fn extract_store_slice(
     code: &ThreadCode,
     store_pc: u32,
 ) -> Result<ExtractedSlice, RejectReason> {
-    let blocks = basic_blocks(code);
-    extract_in_blocks(code, &blocks, store_pc)
+    if !matches!(code.fetch(store_pc), Some(Instr::Store { .. })) {
+        return Err(RejectReason::NotAStore);
+    }
+    let (bs, _) = block_of(&basic_blocks(code), store_pc);
+    let mut pass = UseDefPass::new(code);
+    pass.enter_block(bs, store_pc + 1);
+    for pc in bs..store_pc {
+        pass.step(pc);
+    }
+    pass.extract(store_pc)
 }
 
-/// As [`extract_store_slice`] but with precomputed basic blocks (the pass
-/// calls this in a loop).
-pub(crate) fn extract_in_blocks(
+/// Extracts the Slice of every store of `code`, in pc order, with one
+/// forward use-def pass per basic block.
+pub(crate) fn extract_all(
     code: &ThreadCode,
-    blocks: &[(u32, u32)],
-    store_pc: u32,
-) -> Result<ExtractedSlice, RejectReason> {
-    let Some(Instr::Store { rs, .. }) = code.fetch(store_pc) else {
-        return Err(RejectReason::NotAStore);
+    mut on_store: impl FnMut(u32, Result<ExtractedSlice, RejectReason>),
+) {
+    let mut pass = UseDefPass::new(code);
+    for (bs, be) in basic_blocks(code) {
+        pass.enter_block(bs, be);
+        for pc in bs..be {
+            if matches!(code.instrs()[pc as usize], Instr::Store { .. }) {
+                on_store(pc, pass.extract(pc));
+            }
+            pass.step(pc);
+        }
+    }
+}
+
+/// What the pass keeps per instruction of the current block.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// Latest-def pcs of an `Alu`'s `ra`/`rb` when it executes (an `AluI`
+    /// uses slot 0): its use-def links.
+    links: [u32; 2],
+    /// The store whose walk last reached this def.
+    seen: u32,
+    /// The operand this def contributes to that store's Slice.
+    operand: SliceOperand,
+}
+
+impl Node {
+    const FRESH: Node = Node {
+        links: [LIVE_IN; 2],
+        seen: LIVE_IN,
+        operand: SliceOperand::Imm(0),
     };
-    let rs = *rs;
-    let (bs, _be) = block_of(blocks, store_pc);
+}
 
-    // Backward demand-driven walk.
-    let mut demands: BTreeSet<Reg> = BTreeSet::new();
-    demands.insert(rs);
-    // Resolution per (pc) for included/resolver defs, and per live-in reg.
-    let mut resolved_at: BTreeMap<u32, (Reg, Resolution)> = BTreeMap::new();
-    let mut included = 0usize;
-    for q in (bs..store_pc).rev() {
-        let instr = &code.instrs()[q as usize];
-        let Some(rd) = instr.def() else { continue };
-        if !demands.remove(&rd) {
-            continue;
+/// The forward use-def pass over a thread's basic blocks.
+///
+/// [`UseDefPass::step`] records, for each `Alu`/`AluI`, the pc of the latest
+/// def of each source register in the block, then makes the instruction
+/// the latest def of its destination. At a store, [`UseDefPass::extract`]
+/// walks those links back from the stored register: the closure is the
+/// Slice, a link with no def is a block live-in, and a load ends the walk
+/// as an input. The cost is linear in the block plus each store's
+/// closure, which [`HARD_LEN_CAP`] bounds.
+struct UseDefPass<'c> {
+    instrs: &'c [Instr],
+    /// First pc of the current block; `nodes[pc - bs]` is pc's node.
+    bs: u32,
+    nodes: Vec<Node>,
+    /// Latest def pc of each register in the current block, or [`LIVE_IN`].
+    last_def: [u32; NUM_REGS],
+    /// Registers with a def in the current block.
+    defined: u32,
+    /// Walk worklist.
+    stack: Vec<u32>,
+    /// Def pcs of the current store's closure.
+    closure: Vec<u32>,
+}
+
+impl<'c> UseDefPass<'c> {
+    fn new(code: &'c ThreadCode) -> Self {
+        UseDefPass {
+            instrs: code.instrs(),
+            bs: 0,
+            nodes: Vec::new(),
+            last_def: [LIVE_IN; NUM_REGS],
+            defined: 0,
+            stack: Vec::new(),
+            closure: Vec::new(),
         }
+    }
+
+    /// Starts the block `[bs, be)`: every register becomes a live-in.
+    fn enter_block(&mut self, bs: u32, be: u32) {
+        self.bs = bs;
+        self.nodes.clear();
+        self.nodes.resize((be - bs) as usize, Node::FRESH);
+        self.last_def = [LIVE_IN; NUM_REGS];
+        self.defined = 0;
+    }
+
+    fn node(&mut self, pc: u32) -> &mut Node {
+        &mut self.nodes[(pc - self.bs) as usize]
+    }
+
+    /// Records the use-def links of the instruction at `pc`, then its def.
+    fn step(&mut self, pc: u32) {
+        let instr = self.instrs[pc as usize];
+        let last_def = self.last_def;
         match instr {
-            Instr::Imm { imm, .. } => {
-                resolved_at.insert(q, (rd, Resolution::Imm(*imm)));
-            }
-            Instr::Load { .. } => {
-                resolved_at.insert(q, (rd, Resolution::Input { def_pc: Some(q) }));
-            }
             Instr::Alu { ra, rb, .. } => {
-                included += 1;
-                if included > HARD_LEN_CAP {
-                    return Err(RejectReason::TooLong);
+                self.node(pc).links = [last_def[ra.index()], last_def[rb.index()]];
+            }
+            Instr::AluI { ra, .. } => self.node(pc).links[0] = last_def[ra.index()],
+            _ => {}
+        }
+        if let Some(rd) = instr.def() {
+            self.last_def[rd.index()] = pc;
+            self.defined |= 1 << rd.index();
+        }
+    }
+
+    /// Extracts the Slice of the store at `store_pc`, every earlier
+    /// instruction of its block having been stepped.
+    fn extract(&mut self, store_pc: u32) -> Result<ExtractedSlice, RejectReason> {
+        let Instr::Store { rs, .. } = self.instrs[store_pc as usize] else {
+            return Err(RejectReason::NotAStore);
+        };
+        let instrs = self.instrs;
+
+        // The closure of the use-def links from `rs`.
+        self.stack.clear();
+        self.closure.clear();
+        let mut live_in = 0u32;
+        let mut included = 0usize;
+        self.visit(rs, self.last_def[rs.index()], store_pc, &mut live_in);
+        while let Some(q) = self.stack.pop() {
+            self.closure.push(q);
+            let [a, b] = self.node(q).links;
+            match instrs[q as usize] {
+                Instr::Alu { ra, rb, .. } => {
+                    included += 1;
+                    self.visit(ra, a, store_pc, &mut live_in);
+                    self.visit(rb, b, store_pc, &mut live_in);
                 }
-                resolved_at.insert(q, (rd, Resolution::Arith { pc: q }));
-                demands.insert(*ra);
-                demands.insert(*rb);
-            }
-            Instr::AluI { ra, .. } => {
-                included += 1;
-                if included > HARD_LEN_CAP {
-                    return Err(RejectReason::TooLong);
+                Instr::AluI { ra, .. } => {
+                    included += 1;
+                    self.visit(ra, a, store_pc, &mut live_in);
                 }
-                resolved_at.insert(q, (rd, Resolution::Arith { pc: q }));
-                demands.insert(*ra);
+                // An immediate folds into an operand; a load is cut into an
+                // input.
+                _ => {}
             }
-            _ => unreachable!("def() only for Imm/Alu/AluI/Load"),
-        }
-    }
-    // Remaining demands are block live-ins → inputs.
-    let live_ins: Vec<Reg> = demands.iter().copied().collect();
-
-    // Assign input slots in deterministic order: live-ins first (by reg),
-    // then load-resolved inputs by position.
-    let mut input_regs: Vec<Reg> = Vec::new();
-    let mut input_of: BTreeMap<(Option<u32>, Reg), u8> = BTreeMap::new();
-    for r in &live_ins {
-        input_of.insert((None, *r), input_regs.len() as u8);
-        input_regs.push(*r);
-    }
-    for (&q, &(rd, res)) in &resolved_at {
-        if matches!(res, Resolution::Input { .. }) {
-            input_of.insert((Some(q), rd), input_regs.len() as u8);
-            input_regs.push(rd);
-        }
-    }
-    if input_regs.len() > MAX_SLICE_INPUTS {
-        return Err(RejectReason::TooManyInputs);
-    }
-
-    // Capture validity: an input register must not be redefined between
-    // its resolver and the store (the ASSOC-ADDR reads the register file).
-    for &(def_pc, r) in input_of.keys() {
-        let from = def_pc.map_or(bs, |q| q + 1);
-        for q in from..store_pc {
-            if code.instrs()[q as usize].def() == Some(r) {
-                // The resolver itself is at def_pc (excluded by `from`).
-                return Err(RejectReason::InputClobbered);
+            if included > HARD_LEN_CAP {
+                return Err(RejectReason::TooLong);
             }
         }
-    }
+        self.closure.sort_unstable();
+        let bs = self.bs;
 
-    // Forward pass: build Slice instructions in dependence order.
-    let mut cur: BTreeMap<Reg, SliceOperand> = BTreeMap::new();
-    for r in &live_ins {
-        cur.insert(*r, SliceOperand::Input(input_of[&(None, *r)]));
-    }
-    let mut instrs: Vec<SliceInstr> = Vec::new();
-    for q in bs..store_pc {
-        let instr = &code.instrs()[q as usize];
-        match resolved_at.get(&q) {
-            Some(&(rd, Resolution::Imm(v))) => {
-                cur.insert(rd, SliceOperand::Imm(v));
+        // Inputs: live-ins by register, then loads by pc. A live-in must
+        // have no def before the store, a load must be its register's
+        // latest def there (the ASSOC-ADDR reads the register file).
+        let mut input_regs: Vec<Reg> = (0..NUM_REGS)
+            .filter(|&r| live_in & (1 << r) != 0)
+            .map(|r| Reg(r as u8))
+            .collect();
+        let mut clobbered = live_in & self.defined != 0;
+        for &q in &self.closure {
+            if let Instr::Load { rd, .. } = instrs[q as usize] {
+                self.nodes[(q - bs) as usize].operand = SliceOperand::Input(input_regs.len() as u8);
+                input_regs.push(rd);
+                clobbered |= self.last_def[rd.index()] != q;
             }
-            Some(&(rd, Resolution::Input { def_pc })) => {
-                cur.insert(rd, SliceOperand::Input(input_of[&(def_pc, rd)]));
-            }
-            Some(&(rd, Resolution::Arith { .. })) => {
-                let (op, a, b) = match instr {
-                    Instr::Alu { op, ra, rb, .. } => (*op, cur[ra], cur[rb]),
-                    Instr::AluI { op, ra, imm, .. } => (*op, cur[ra], SliceOperand::Imm(*imm)),
-                    _ => unreachable!("arith resolution on non-arith"),
-                };
-                let idx = instrs.len() as u16;
-                instrs.push(SliceInstr { op, a, b });
-                cur.insert(rd, SliceOperand::Temp(idx));
-            }
-            None => {
-                // A def not in the slice kills any stale mapping.
-                if let Some(rd) = instr.def() {
-                    cur.remove(&rd);
+        }
+        if input_regs.len() > MAX_SLICE_INPUTS {
+            return Err(RejectReason::TooManyInputs);
+        }
+        if clobbered {
+            return Err(RejectReason::InputClobbered);
+        }
+
+        // Emit the arithmetic in pc (hence dependence) order.
+        let mut out: Vec<SliceInstr> = Vec::new();
+        for &q in &self.closure {
+            let [a, b] = self.nodes[(q - bs) as usize].links;
+            let operand = match instrs[q as usize] {
+                Instr::Imm { imm, .. } => SliceOperand::Imm(imm),
+                Instr::Alu { op, ra, rb, .. } => {
+                    let (a, b) = (self.source(ra, a, live_in), self.source(rb, b, live_in));
+                    out.push(SliceInstr { op, a, b });
+                    SliceOperand::Temp(out.len() as u16 - 1)
                 }
-            }
+                Instr::AluI { op, ra, imm, .. } => {
+                    let a = self.source(ra, a, live_in);
+                    out.push(SliceInstr {
+                        op,
+                        a,
+                        b: SliceOperand::Imm(imm),
+                    });
+                    SliceOperand::Temp(out.len() as u16 - 1)
+                }
+                _ => continue,
+            };
+            self.nodes[(q - bs) as usize].operand = operand;
         }
-    }
 
-    // The stored value.
-    let result = cur.get(&rs).copied();
-    match result {
-        Some(SliceOperand::Temp(t)) if t as usize == instrs.len() - 1 => {}
-        Some(SliceOperand::Imm(v)) => {
+        // The stored value. Its def is the latest in the closure, so an
+        // arithmetic one is already the last instruction.
+        match self.source(rs, self.last_def[rs.index()], live_in) {
+            SliceOperand::Temp(t) => debug_assert_eq!(usize::from(t), out.len() - 1),
             // Store of a constant: a one-instruction Slice regenerates it.
-            debug_assert!(instrs.is_empty() || result.is_some());
-            instrs.push(SliceInstr {
-                op: acr_isa::AluOp::Add,
+            SliceOperand::Imm(v) => out.push(SliceInstr {
+                op: AluOp::Add,
                 a: SliceOperand::Imm(v),
                 b: SliceOperand::Imm(0),
-            });
+            }),
+            // Pure copy of a load/live-in: recomputation cannot beat
+            // checkpointing.
+            SliceOperand::Input(_) => return Err(RejectReason::NoArith),
         }
-        Some(SliceOperand::Input(_)) | None => {
-            // Pure copy of a load/live-in, or unresolved: recomputation
-            // cannot beat checkpointing.
-            return Err(RejectReason::NoArith);
-        }
-        Some(SliceOperand::Temp(t)) => {
-            // The final value is an intermediate temp (later slice instrs
-            // were for other registers — possible when rd chains diverge).
-            // Append a copy so the last instruction produces the value.
-            instrs.push(SliceInstr {
-                op: acr_isa::AluOp::Add,
-                a: SliceOperand::Temp(t),
-                b: SliceOperand::Imm(0),
-            });
+        let slice = Slice::new(out, input_regs.len() as u8).map_err(|_| RejectReason::NoArith)?;
+        Ok(ExtractedSlice {
+            slice,
+            input_regs,
+            store_pc,
+        })
+    }
+
+    /// Adds the link `(reg, def)` to the walk of the store at `store_pc`.
+    fn visit(&mut self, reg: Reg, def: u32, store_pc: u32, live_in: &mut u32) {
+        if def == LIVE_IN {
+            *live_in |= 1 << reg.index();
+        } else if self.node(def).seen != store_pc {
+            self.node(def).seen = store_pc;
+            self.stack.push(def);
         }
     }
 
-    // Drop inputs that ended up unused (their uses were all resolved to
-    // later defs)? They were demanded, so they are used by construction.
-    let slice = Slice::new(instrs, input_regs.len() as u8).map_err(|_| RejectReason::NoArith)?;
-    Ok(ExtractedSlice {
-        slice,
-        input_regs,
-        store_pc,
-    })
+    /// The Slice operand for source `reg` whose latest def is `def`.
+    fn source(&self, reg: Reg, def: u32, live_in: u32) -> SliceOperand {
+        if def == LIVE_IN {
+            let below = live_in & ((1 << reg.index()) - 1);
+            SliceOperand::Input(below.count_ones() as u8)
+        } else {
+            self.nodes[(def - self.bs) as usize].operand
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acr_isa::{AluOp, ProgramBuilder};
+    use acr_isa::{BranchCond, ProgramBuilder};
+    use acr_rng::check::forall;
+    use acr_rng::SmallRng;
+
+    use crate::reference;
 
     fn code_of(build: impl FnOnce(&mut acr_isa::ThreadBuilder)) -> acr_isa::Program {
         let mut b = ProgramBuilder::new(1);
@@ -441,5 +523,180 @@ mod tests {
         let e = extract_store_slice(p.thread(0), 21).unwrap();
         assert_eq!(e.slice.len(), 21);
         assert_eq!(e.slice.execute(&[10, 5]).unwrap(), 35);
+    }
+
+    const OPS: [AluOp; 6] = [
+        AluOp::Add,
+        AluOp::Sub,
+        AluOp::Mul,
+        AluOp::Xor,
+        AluOp::Shl,
+        AluOp::Max,
+    ];
+
+    /// A random thread: blocks of mixed arithmetic, loads and stores over a
+    /// register pool small enough to force reuse (so live-ins, shared
+    /// producers and clobbered inputs are common), split by random branches,
+    /// with occasional straight-line chains longer than [`HARD_LEN_CAP`] and
+    /// fans of more loads than [`MAX_SLICE_INPUTS`].
+    fn random_thread(rng: &mut SmallRng) -> ThreadCode {
+        let pool = *rng.choose(&[3u8, 6, 12, 32]);
+        let base = rng.gen_range(0..=32 - pool);
+        let reg = |rng: &mut SmallRng| Reg(base + rng.gen_range(0..pool));
+        let mut out: Vec<Instr> = Vec::new();
+        let segments = rng.gen_range(1..8u32);
+        for _ in 0..segments {
+            match rng.gen_range(0..10u32) {
+                0 => {
+                    // A chain around the length cap.
+                    let r = reg(rng);
+                    out.push(Instr::Load {
+                        rd: r,
+                        base: reg(rng),
+                        disp: 8,
+                    });
+                    for _ in 0..rng.gen_range(250..270u32) {
+                        out.push(Instr::AluI {
+                            op: *rng.choose(&OPS),
+                            rd: r,
+                            ra: r,
+                            imm: rng.gen_range(0..4u64),
+                        });
+                    }
+                    out.push(Instr::Store {
+                        rs: r,
+                        base: reg(rng),
+                        disp: 0,
+                    });
+                }
+                1 => {
+                    // A sum over 6..12 loads, around the input cap.
+                    let n = rng.gen_range(6..12u8);
+                    let first = rng.gen_range(0..=32 - n - 1);
+                    for j in 0..n {
+                        out.push(Instr::Load {
+                            rd: Reg(first + j),
+                            base: reg(rng),
+                            disp: u64::from(j) * 8,
+                        });
+                    }
+                    let acc = Reg(first + n);
+                    out.push(Instr::AluI {
+                        op: AluOp::Add,
+                        rd: acc,
+                        ra: Reg(first),
+                        imm: 0,
+                    });
+                    for j in 1..n {
+                        out.push(Instr::Alu {
+                            op: *rng.choose(&OPS),
+                            rd: acc,
+                            ra: acc,
+                            rb: Reg(first + j),
+                        });
+                    }
+                    out.push(Instr::Store {
+                        rs: acc,
+                        base: reg(rng),
+                        disp: 0,
+                    });
+                }
+                _ => {
+                    for _ in 0..rng.gen_range(1..60u32) {
+                        out.push(match rng.gen_range(0..20u32) {
+                            0..=6 => Instr::Alu {
+                                op: *rng.choose(&OPS),
+                                rd: reg(rng),
+                                ra: reg(rng),
+                                rb: reg(rng),
+                            },
+                            7..=9 => Instr::AluI {
+                                op: *rng.choose(&OPS),
+                                rd: reg(rng),
+                                ra: reg(rng),
+                                imm: rng.gen_range(0..100u64),
+                            },
+                            10..=11 => Instr::Imm {
+                                rd: reg(rng),
+                                imm: rng.gen_range(0..100u64),
+                            },
+                            12..=14 => Instr::Load {
+                                rd: reg(rng),
+                                base: reg(rng),
+                                disp: 8,
+                            },
+                            15 => Instr::Barrier,
+                            // Patched below into a branch to a random pc.
+                            16 => Instr::Jump { target: u32::MAX },
+                            _ => Instr::Store {
+                                rs: reg(rng),
+                                base: reg(rng),
+                                disp: 0,
+                            },
+                        });
+                    }
+                }
+            }
+        }
+        out.push(Instr::Halt);
+        let n = out.len() as u32;
+        for instr in &mut out {
+            if matches!(instr, Instr::Jump { target: u32::MAX }) {
+                let target = rng.gen_range(0..n);
+                *instr = if rng.gen_bool() {
+                    Instr::Jump { target }
+                } else {
+                    Instr::Branch {
+                        cond: BranchCond::Ne,
+                        ra: reg(rng),
+                        rb: reg(rng),
+                        target,
+                    }
+                };
+            }
+        }
+        ThreadCode::new(out)
+    }
+
+    /// The linear-time extractor, through both the per-block pass the
+    /// compiler pass uses and the single-store entry point, returns
+    /// exactly the reference extractor's `Result` for every store.
+    #[test]
+    fn matches_reference_extractor() {
+        // Outcomes seen, so the generator provably reaches every path.
+        let mut seen = [0u32; 5];
+        forall("matches_reference_extractor", 300, 0x51ce, |rng| {
+            let code = random_thread(rng);
+            let blocks = basic_blocks(&code);
+            let mut stores = Vec::new();
+            extract_all(&code, |pc, got| stores.push((pc, got)));
+            let store_pcs: Vec<u32> = (0..code.len() as u32)
+                .filter(|&pc| matches!(code.fetch(pc), Some(Instr::Store { .. })))
+                .collect();
+            assert_eq!(
+                stores.iter().map(|(pc, _)| *pc).collect::<Vec<_>>(),
+                store_pcs,
+                "every store, in pc order"
+            );
+            for (pc, got) in stores {
+                let want = reference::extract_in_blocks(&code, &blocks, pc);
+                assert_eq!(got, want, "pass, store at pc {pc}");
+                assert_eq!(extract_store_slice(&code, pc), want, "store at pc {pc}");
+                seen[match want {
+                    Ok(_) => 0,
+                    Err(RejectReason::NoArith) => 1,
+                    Err(RejectReason::TooLong) => 2,
+                    Err(RejectReason::TooManyInputs) => 3,
+                    Err(RejectReason::InputClobbered) => 4,
+                    Err(RejectReason::NotAStore) => unreachable!("a store"),
+                }] += 1;
+            }
+            let pc = rng.gen_range(0..code.len() as u32);
+            assert_eq!(
+                extract_store_slice(&code, pc),
+                reference::extract_in_blocks(&code, &blocks, pc)
+            );
+        });
+        assert!(seen.iter().all(|&n| n > 0), "outcomes covered: {seen:?}");
     }
 }

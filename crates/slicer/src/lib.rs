@@ -5,11 +5,14 @@
 //! (Sections III-A and IV). This crate is the equivalent pass over our IR:
 //!
 //! 1. **Backward slicing** ([`extract_store_slice`]): for every static
-//!    store, walk the data-dependence chain backwards within the store's
+//!    store, follow the data-dependence chain backwards within the store's
 //!    basic block. Arithmetic producers become Slice instructions; loads
 //!    and block-live-in registers are *cut* and become Slice inputs
 //!    (Fig. 3(d) of the paper — inputs come from the operand buffer, never
-//!    memory); immediates are constant-folded into operands.
+//!    memory); immediates are constant-folded into operands. One forward
+//!    pass per block records register use-def links, and each store's
+//!    Slice is the closure of those links from the stored register, so
+//!    the pass is linear in the block plus the Slices it extracts.
 //! 2. **Filtering** ([`SlicerConfig`]): Slices longer than the threshold
 //!    (Section V-D1; default 10) are dropped, as are Slices with zero
 //!    arithmetic instructions (buffering the inputs would be equivalent to
@@ -34,6 +37,8 @@
 mod block;
 mod extract;
 mod pass;
+#[cfg(test)]
+mod reference;
 
 pub use block::basic_blocks;
 pub use extract::{extract_store_slice, ExtractedSlice, RejectReason};

@@ -5,8 +5,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use acr_isa::{InputRegs, Instr, Program, Slice, SliceId, ThreadCode};
 
-use crate::block::basic_blocks;
-use crate::extract::{extract_in_blocks, RejectReason};
+use crate::extract::{extract_all, RejectReason};
 
 /// Pass configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,6 +103,10 @@ impl SliceStats {
 /// assert_eq!(instrumented.static_len(), program.static_len() + 1);
 /// ```
 ///
+/// `program` should pass [`Program::validate`]: the pass keys its
+/// register tables on [`acr_isa::Reg::index`], which, like the simulator,
+/// masks an out-of-range register onto the register file.
+///
 /// # Panics
 ///
 /// Panics if `program` is already instrumented (contains `ASSOC-ADDR`
@@ -122,42 +125,31 @@ pub fn instrument(program: &Program, cfg: &SlicerConfig) -> (Program, SliceStats
     let mut slice_table: Vec<Slice> = Vec::new();
     let mut dedup: HashMap<Slice, SliceId> = HashMap::new();
     let mut new_threads: Vec<ThreadCode> = Vec::with_capacity(program.num_threads());
-    let mut thread_positions: Vec<Vec<u32>> = Vec::with_capacity(program.num_threads());
+    let mut thread_labels: Vec<Vec<(u32, String)>> = Vec::with_capacity(program.num_threads());
 
     for (ti, code) in program.threads().iter().enumerate() {
-        let blocks = basic_blocks(code);
-        // pc of store → AssocAddr instruction to insert after it.
-        let mut insertions: BTreeMap<u32, Instr> = BTreeMap::new();
+        // (pc of store, ASSOC-ADDR to insert after it), in pc order.
+        let mut insertions: Vec<(u32, Instr)> = Vec::new();
         // Pre-shift pcs of stores whose slice was dropped for length.
         let mut too_long_pcs: Vec<u32> = Vec::new();
-        for (pc, instr) in code.instrs().iter().enumerate() {
-            if !matches!(instr, Instr::Store { .. }) {
-                continue;
-            }
+        extract_all(code, |pc, extracted| {
             stats.static_stores += 1;
-            let pc = pc as u32;
-            match extract_in_blocks(code, &blocks, pc) {
+            match extracted {
                 Ok(ex) => {
                     if ex.slice.len() > cfg.threshold {
                         stats.rejected_too_long += 1;
                         stats.rejected_threshold_filter += 1;
                         too_long_pcs.push(pc);
-                        continue;
+                        return;
                     }
                     stats.sliced_stores += 1;
                     *stats.length_histogram.entry(ex.slice.len()).or_insert(0) += 1;
-                    let id = *dedup.entry(ex.slice.clone()).or_insert_with(|| {
-                        let id = SliceId(slice_table.len() as u32);
-                        slice_table.push(ex.slice.clone());
-                        id
+                    let id = *dedup.entry(ex.slice).or_insert_with_key(|slice| {
+                        slice_table.push(slice.clone());
+                        SliceId(slice_table.len() as u32 - 1)
                     });
-                    insertions.insert(
-                        pc,
-                        Instr::AssocAddr {
-                            slice: id,
-                            inputs: InputRegs::new(&ex.input_regs),
-                        },
-                    );
+                    let inputs = InputRegs::new(&ex.input_regs);
+                    insertions.push((pc, Instr::AssocAddr { slice: id, inputs }));
                 }
                 Err(RejectReason::NoArith) => stats.rejected_no_arith += 1,
                 Err(RejectReason::TooLong) => {
@@ -166,35 +158,31 @@ pub fn instrument(program: &Program, cfg: &SlicerConfig) -> (Program, SliceStats
                 }
                 Err(RejectReason::TooManyInputs) => stats.rejected_too_many_inputs += 1,
                 Err(RejectReason::InputClobbered) => stats.rejected_input_clobbered += 1,
-                Err(RejectReason::NotAStore) => unreachable!("filtered above"),
+                Err(RejectReason::NotAStore) => unreachable!("only stores are extracted"),
             }
-        }
-        // Record length-rejected store pcs in *post-instrumentation*
-        // coordinates, applying the same shift the rebuild applies to
-        // branch targets.
-        let positions: Vec<u32> = insertions.keys().copied().collect();
+        });
+        // Length-rejected store pcs and label region starts move to
+        // *post-instrumentation* coordinates, the same shift the rebuild
+        // applies to branch targets.
         for pc in too_long_pcs {
-            let shift = positions.partition_point(|&q| q < pc) as u32;
-            stats.rejected_store_pcs.push((ti as u32, pc + shift));
+            stats
+                .rejected_store_pcs
+                .push((ti as u32, pc + shift(&insertions, pc)));
         }
+        thread_labels.push(
+            program
+                .thread_labels(ti as u32)
+                .iter()
+                .map(|(start, label)| (start + shift(&insertions, *start), label.clone()))
+                .collect(),
+        );
         new_threads.push(rebuild_with_insertions(code, &insertions));
-        thread_positions.push(positions);
     }
 
     stats.unique_slices = slice_table.len() as u64;
     stats.embedded_slice_instrs = slice_table.iter().map(|s| s.len() as u64).sum();
     let mut instrumented = Program::new(new_threads, slice_table, program.mem_bytes());
-    // Carry label regions over, shifting each region start past the
-    // ASSOC-ADDRs inserted below it (same mapping as branch targets).
-    for (ti, positions) in thread_positions.iter().enumerate() {
-        let regions: Vec<(u32, String)> = program
-            .thread_labels(ti as u32)
-            .iter()
-            .map(|(start, label)| {
-                let shift = positions.partition_point(|&q| q < *start) as u32;
-                (start + shift, label.clone())
-            })
-            .collect();
+    for (ti, regions) in thread_labels.into_iter().enumerate() {
         if !regions.is_empty() {
             instrumented.set_thread_labels(ti as u32, regions);
         }
@@ -203,16 +191,19 @@ pub fn instrument(program: &Program, cfg: &SlicerConfig) -> (Program, SliceStats
     (instrumented, stats)
 }
 
-/// Rebuilds a thread's stream with `ASSOC-ADDR`s inserted after the given
-/// store pcs, remapping branch/jump targets.
-fn rebuild_with_insertions(code: &ThreadCode, insertions: &BTreeMap<u32, Instr>) -> ThreadCode {
-    let positions: Vec<u32> = insertions.keys().copied().collect();
-    // shift(t) = number of insertion positions strictly below t.
-    let shift = |t: u32| positions.partition_point(|&q| q < t) as u32;
+/// How far the rebuild moves pre-instrumentation pc `t`: the number of
+/// insertions strictly below it.
+fn shift(insertions: &[(u32, Instr)], t: u32) -> u32 {
+    insertions.partition_point(|&(q, _)| q < t) as u32
+}
+
+/// Rebuilds a thread's stream with each pc-sorted `(store pc, ASSOC-ADDR)`
+/// insertion merged in after its store, remapping branch/jump targets.
+fn rebuild_with_insertions(code: &ThreadCode, insertions: &[(u32, Instr)]) -> ThreadCode {
     let mut out = Vec::with_capacity(code.len() + insertions.len());
+    let mut pending = insertions.iter().peekable();
     for (pc, instr) in code.instrs().iter().enumerate() {
-        let pc = pc as u32;
-        let remapped = match *instr {
+        out.push(match *instr {
             Instr::Branch {
                 cond,
                 ra,
@@ -222,15 +213,14 @@ fn rebuild_with_insertions(code: &ThreadCode, insertions: &BTreeMap<u32, Instr>)
                 cond,
                 ra,
                 rb,
-                target: target + shift(target),
+                target: target + shift(insertions, target),
             },
             Instr::Jump { target } => Instr::Jump {
-                target: target + shift(target),
+                target: target + shift(insertions, target),
             },
             other => other,
-        };
-        out.push(remapped);
-        if let Some(assoc) = insertions.get(&pc) {
+        });
+        if let Some((_, assoc)) = pending.next_if(|&&(q, _)| q == pc as u32) {
             out.push(*assoc);
         }
     }

@@ -518,7 +518,7 @@ static DETAIL: Flag = Flag::sim(
     "--detail",
     "FLAG",
     "detail",
-    |a| a.detail.to_string(),
+    |a| (if a.detail { "on" } else { "off" }).to_owned(),
     "on | off — per-store/assoc/miss trace instants",
     |a, v| {
         a.detail = match v {
@@ -2888,17 +2888,31 @@ mod tests {
             "--chunk" => &["1", "5"],
             "--models" => &["stuck", "classic,recoverable"],
             "--resilience" => &["baseline", "nested,watchdog"],
+            "--workload" => &["is", "cg", "bt"],
+            "--detail" => &["on", "off"],
+            "--case" => &["0", "3"],
+            "--max-evals" => &["1", "2048"],
+            "--errors" => &["0", "2"],
+            "--threshold" => &["5", "10", "50"],
+            "--addrmap" => &["64", "1024"],
+            "--secondary" => &["2", "4"],
+            "--adaptive" | "--oracle" => &[""],
             other => panic!("no sample values for {other}"),
         };
         pool[rng.gen_range(0..pool.len())]
     }
 
-    /// Every repro line stamped into a postmortem bundle parses back
+    /// Every subcommand's repro line (the one stamped into postmortem
+    /// bundles, and the manifest config it is rendered from) parses back
     /// through the same table into identical args.
     #[test]
     fn repro_lines_round_trip() {
+        let cmds: Vec<&Subcommand> = SUBCOMMANDS
+            .into_iter()
+            .filter(|c| c.opts().any(|(f, _)| f.sim.is_some()))
+            .collect();
         forall("repro_lines_round_trip", 500, 0x5eed, |rng| {
-            let cmd = if rng.gen_bool() { &INJECT } else { &SOAK };
+            let cmd = cmds[rng.gen_range(0..cmds.len())];
             let mut tokens = Vec::new();
             for (flag, _) in cmd.opts().filter(|(f, _)| f.sim.is_some()) {
                 if rng.gen_bool() {
