@@ -1,7 +1,7 @@
 //! # acr-bench — experiment harness
 //!
-//! Shared runners for the per-figure/per-table binaries in `src/bin/`.
-//! Each binary regenerates one table or figure of the paper; see
+//! The report generators behind `acr_cli figures`: [`FIGURE_TASKS`] lists
+//! every table, figure and supplementary study of the paper by name. See
 //! `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for measured
 //! vs. paper numbers.
 
@@ -15,9 +15,6 @@ use acr_workloads::{generate, Benchmark, WorkloadConfig};
 
 /// Default thread count of the paper's main figures.
 pub const DEFAULT_THREADS: u32 = 8;
-
-/// Default workload scale for harness runs (full ROI).
-pub const DEFAULT_SCALE: f64 = 1.0;
 
 /// Builds the experiment for one benchmark with the paper's defaults
 /// (Table I machine, 25 checkpoints, per-benchmark Slice threshold).
@@ -84,22 +81,90 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Formats a percentage cell.
-pub fn pct(x: f64) -> String {
-    format!("{x:7.2}")
+/// One independent unit of figure/table work: its name (the `--only`
+/// label, manifest hash key and host phase) and a runner returning its
+/// reports in print order at a workload scale. Figures that share an
+/// expensive sweep (Figs. 6–9 all read `main_sweep`) are one task, so the
+/// sweep runs once.
+pub type FigureTask = (
+    &'static str,
+    fn(f64) -> Result<Vec<String>, ExperimentError>,
+);
+
+/// Every task, in print order.
+pub static FIGURE_TASKS: &[FigureTask] = &[
+    ("fig01", |_| Ok(vec![figures::fig01_report()])),
+    ("table1", |_| Ok(vec![figures::table1_report()])),
+    ("figs06-09", |scale| {
+        let rows = figures::main_sweep(DEFAULT_THREADS, scale)?;
+        Ok(vec![
+            figures::fig06_report(&rows),
+            figures::fig07_report(&rows),
+            figures::fig08_report(&rows),
+            figures::fig09_report(&rows),
+        ])
+    }),
+    ("table2", |s| {
+        one(figures::table2_report(DEFAULT_THREADS, s))
+    }),
+    ("fig10", |s| one(figures::fig10_report(DEFAULT_THREADS, s))),
+    ("fig10-csv", |s| one(figures::fig10_csv(DEFAULT_THREADS, s))),
+    ("fig11", |s| one(figures::fig11_report(DEFAULT_THREADS, s))),
+    ("fig12", |s| one(figures::fig12_report(DEFAULT_THREADS, s))),
+    ("scalability", |s| one(figures::scalability_report(s))),
+    ("fig13", |s| one(figures::fig13_report(DEFAULT_THREADS, s))),
+    ("ablation-addrmap", |s| {
+        one(figures::ablation_addrmap_report(DEFAULT_THREADS, s))
+    }),
+    ("ablation-detection-latency", |s| {
+        one(figures::ablation_detection_latency_report(
+            DEFAULT_THREADS,
+            s,
+        ))
+    }),
+    ("ablation-hierarchical", |s| {
+        one(figures::ablation_hierarchical_report(DEFAULT_THREADS, s))
+    }),
+    ("ablation-scratchpad", |s| {
+        one(figures::ablation_scratchpad_report(DEFAULT_THREADS, s))
+    }),
+    ("ablation-trivial-slices", |s| {
+        one(figures::ablation_trivial_slices_report(DEFAULT_THREADS, s))
+    }),
+    ("energy-breakdown", |s| {
+        one(figures::energy_breakdown_report(DEFAULT_THREADS, s))
+    }),
+    ("extension-placement", |s| {
+        one(figures::extension_placement_report(DEFAULT_THREADS, s))
+    }),
+];
+
+/// The tasks `acr_cli figures` runs by default: the paper's figures and
+/// tables.
+pub const PAPER_FIGURES: &str = "fig01,table1,figs06-09,table2,fig10,fig11,fig12,scalability,fig13";
+
+fn one(report: Result<String, ExperimentError>) -> Result<Vec<String>, ExperimentError> {
+    report.map(|r| vec![r])
 }
 
-/// Prints a header row followed by a separator.
-pub fn print_header(cols: &[&str]) {
-    let row: Vec<String> = cols.iter().map(|c| format!("{c:>9}")).collect();
-    println!("{}", row.join(" "));
-    println!("{}", "-".repeat(10 * cols.len()));
-}
-
-/// Prints one labelled row of numeric cells.
-pub fn print_row(label: &str, cells: &[f64]) {
-    let row: Vec<String> = cells.iter().map(|c| format!("{c:9.2}")).collect();
-    println!("{label:>9} {}", row.join(" "));
+/// One sampled `ReCkpt_NE` run each of `is`, `cg` and `mg`, serialised as
+/// JSONL metric samples tagged per workload.
+pub fn sampled_metrics(scale: f64, sample_interval: u64) -> Result<String, ExperimentError> {
+    let mut out = String::new();
+    for bench in [Benchmark::Is, Benchmark::Cg, Benchmark::Mg] {
+        let mut exp = experiment_for(bench, DEFAULT_THREADS, scale, Scheme::GlobalCoordinated)?;
+        let mut spec = exp.spec().clone();
+        spec.sample_interval = sample_interval;
+        exp.set_spec(spec);
+        let run = exp.run_reckpt(0)?;
+        let report = run.report.as_ref().expect("engine runs carry a report");
+        out.push_str(
+            &report
+                .series
+                .to_jsonl(&[("workload", bench.name()), ("run", "reckpt_ne")]),
+        );
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -129,9 +194,19 @@ mod tests {
     }
 
     #[test]
+    fn task_names_are_unique_and_cover_the_defaults() {
+        let mut names: Vec<&str> = FIGURE_TASKS.iter().map(|t| t.0).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), FIGURE_TASKS.len());
+        for name in PAPER_FIGURES.split(',') {
+            assert!(names.contains(&name), "{name}");
+        }
+    }
+
+    #[test]
     fn helpers() {
         assert_eq!(mean(&[]), 0.0);
         assert!((mean(&[1.0, 3.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(pct(1.234), "   1.23");
     }
 }

@@ -920,9 +920,11 @@ impl<'p, P: OmissionPolicy> BerEngine<'p, P> {
         }
         let safe = self.checkpoints[safe_idx].clone();
 
-        // Victim set.
+        // Victim set. A crash power-cycles the whole machine (every core
+        // restarts cold), so every core rolls back under either scheme.
         let victim_mask = match self.cfg.scheme {
             Scheme::GlobalCoordinated => all,
+            Scheme::LocalCoordinated if matches!(err.kind, Some(FaultKind::Crash)) => all,
             Scheme::LocalCoordinated => {
                 let mut victims = 1u64 << err.core;
                 // Union communicating groups over the undone intervals and

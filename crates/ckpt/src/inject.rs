@@ -38,7 +38,7 @@ use crate::engine::{BerConfig, BerEngine, ResilienceConfig, Scheme};
 use crate::errors::CkptError;
 use crate::parallel::ParallelRunner;
 use crate::policy::OmissionPolicy;
-use crate::postmortem::PostmortemBundle;
+use crate::postmortem::{CaseEnd, PostmortemBundle};
 use crate::schedule::{detection_latency, uniform_points, ErrorSchedule};
 
 /// Recovery-fault kind labels, in rendering order (escalation histogram).
@@ -845,8 +845,12 @@ where
                     cfg.seed,
                     &record,
                     &report,
-                    m.mem().image().words(),
-                    engine.log_totals(),
+                    &CaseEnd {
+                        mem_words: m.mem().image().words(),
+                        reference_retired: total,
+                        all_halted: m.all_halted(),
+                        log_totals: engine.log_totals(),
+                    },
                     recorder.as_ref().map(|r| r.borrow()).as_deref(),
                     None,
                 )
@@ -883,8 +887,12 @@ where
                 cfg.seed,
                 &record,
                 engine.partial_report(),
-                engine.machine().mem().image().words(),
-                engine.log_totals(),
+                &CaseEnd {
+                    mem_words: engine.machine().mem().image().words(),
+                    reference_retired: total,
+                    all_halted: engine.machine().all_halted(),
+                    log_totals: engine.log_totals(),
+                },
                 recorder.as_ref().map(|r| r.borrow()).as_deref(),
                 Some(&err.to_string()),
             );

@@ -59,7 +59,7 @@ pub use monitor::{BreachRecord, InvariantSummary, MonitorCounters};
 pub use parallel::{available_jobs, ParallelRunner, JOBS_ENV};
 pub use policy::{NoOmission, OmissionPolicy, Recomputed};
 pub use postmortem::{
-    EscalationStep, EventRecord, PostmortemBundle, RingDigest, POSTMORTEM_SCHEMA,
+    CaseEnd, EscalationStep, EventRecord, PostmortemBundle, RingDigest, POSTMORTEM_SCHEMA,
 };
 pub use report::{BerReport, IntervalRecord, RecoveryRecord};
 pub use schedule::{detection_latency, uniform_points, ErrorSchedule, ScheduledError};

@@ -25,7 +25,7 @@
 
 use acr_trace::{push_json_string, EventKind, FlightRecorder, Fnv1a, Ring, TraceEvent};
 
-use crate::inject::{fault_detail, FaultCaseRecord};
+use crate::inject::{fault_detail, CaseOutcome, FaultCaseRecord};
 use crate::monitor::InvariantSummary;
 use crate::report::{BerReport, IntervalRecord};
 
@@ -34,6 +34,20 @@ pub const POSTMORTEM_SCHEMA: &str = "acr.postmortem.v1";
 
 /// Sealed intervals retained in the bundle's ledger tail.
 const INTERVAL_TAIL: usize = 8;
+
+/// The machine's end-of-case state a bundle digests.
+#[derive(Debug, Clone, Copy)]
+pub struct CaseEnd<'a> {
+    /// Final memory image.
+    pub mem_words: &'a [u64],
+    /// Retired instructions of the fault-free run, which a converged case
+    /// reaches exactly.
+    pub reference_retired: u64,
+    /// Whether every core halted.
+    pub all_halted: bool,
+    /// Log-controller lifetime `(logged, omitted)` totals.
+    pub log_totals: (u64, u64),
+}
 
 /// One flight-recorder event, owned (no `'static` borrows) so bundles can
 /// outlive the recorder.
@@ -164,6 +178,10 @@ pub struct PostmortemBundle {
     pub cycles: u64,
     /// Total retired instructions at the end of the case.
     pub final_retired: u64,
+    /// The convergence condition a diverged case failed although its
+    /// memory and registers match the reference: `retired N vs M` (final
+    /// vs fault-free) or `not all halted`.
+    pub failed_condition: Option<String>,
     /// FNV-1a hash over the final memory image.
     pub mem_fnv: u64,
     /// Final memory words differing from the reference.
@@ -195,22 +213,19 @@ pub struct PostmortemBundle {
 }
 
 impl PostmortemBundle {
-    /// Captures a bundle at the end of a failed case. `mem_words` is the
-    /// final memory image, `log_totals` the `(logged, omitted)` lifetime
-    /// pair, `abort_detail` the engine error for aborted cases.
-    #[allow(clippy::too_many_arguments)] // one seam, one call site, plain data
+    /// Captures a bundle at the end of a failed case; `abort_detail` is
+    /// the engine error for aborted cases.
     pub fn capture(
         trigger: &'static str,
         seed: u64,
         rec: &FaultCaseRecord,
         report: &BerReport,
-        mem_words: &[u64],
-        log_totals: (u64, u64),
+        end: &CaseEnd<'_>,
         recorder: Option<&FlightRecorder>,
         abort_detail: Option<&str>,
     ) -> Self {
         let mut h = Fnv1a::new();
-        for w in mem_words {
+        for w in end.mem_words {
             h.write(&w.to_le_bytes());
         }
         let tail_start = report.intervals.len().saturating_sub(INTERVAL_TAIL);
@@ -227,7 +242,14 @@ impl PostmortemBundle {
                 fr.global_ring(),
             ));
         }
-        let probable_cause = probable_cause(trigger, rec, report, abort_detail);
+        let failed_condition = failed_condition(rec, end);
+        let probable_cause = probable_cause(
+            trigger,
+            rec,
+            failed_condition.as_deref(),
+            report,
+            abort_detail,
+        );
         PostmortemBundle {
             trigger,
             workload: String::new(),
@@ -243,12 +265,13 @@ impl PostmortemBundle {
             outcome: rec.outcome.label(),
             cycles: rec.cycles,
             final_retired: rec.final_retired,
+            failed_condition,
             mem_fnv: h.finish(),
             mem_divergence: rec.mem_divergence,
             reg_divergence: rec.reg_divergence,
             shadow_divergence: rec.shadow_divergence,
-            lifetime_logged: log_totals.0,
-            lifetime_omitted: log_totals.1,
+            lifetime_logged: end.log_totals.0,
+            lifetime_omitted: end.log_totals.1,
             intervals_tail: report.intervals[tail_start..].to_vec(),
             intervals_dropped: tail_start as u64,
             escalation: report
@@ -308,7 +331,8 @@ impl PostmortemBundle {
         let _ = write!(
             o,
             ",\n  \"machine\": {{\"cycles\": {}, \"final_retired\": {}, \"mem_fnv\": \"{:#018x}\", \
-             \"mem_divergence\": {}, \"reg_divergence\": {}, \"shadow_divergence\": {}}},",
+             \"mem_divergence\": {}, \"reg_divergence\": {}, \"shadow_divergence\": {}, \
+             \"failed_condition\": ",
             self.cycles,
             self.final_retired,
             self.mem_fnv,
@@ -316,6 +340,11 @@ impl PostmortemBundle {
             self.reg_divergence,
             self.shadow_divergence
         );
+        match &self.failed_condition {
+            Some(cond) => push_json_string(&mut o, cond),
+            None => o.push_str("null"),
+        }
+        o.push_str("},");
         let _ = write!(
             o,
             "\n  \"log\": {{\"lifetime_logged\": {}, \"lifetime_omitted\": {}, \
@@ -444,6 +473,7 @@ impl PostmortemBundle {
 fn probable_cause(
     trigger: &str,
     rec: &FaultCaseRecord,
+    failed_condition: Option<&str>,
     report: &BerReport,
     abort_detail: Option<&str>,
 ) -> String {
@@ -509,6 +539,10 @@ fn probable_cause(
                     " -> flip outside the incremental log window -> old value unrecoverable \
                      -> divergence from reference",
                 );
+            } else if let Some(cond) = failed_condition {
+                cause.push_str(&format!(
+                    " -> final state matches the reference but {cond} -> divergence"
+                ));
             } else {
                 cause.push_str(&format!(
                     " -> final state differs from reference ({} mem, {} reg words) -> divergence",
@@ -518,6 +552,22 @@ fn probable_cause(
         }
     }
     cause
+}
+
+/// See [`PostmortemBundle::failed_condition`].
+fn failed_condition(rec: &FaultCaseRecord, end: &CaseEnd<'_>) -> Option<String> {
+    if rec.outcome != CaseOutcome::Diverged || rec.mem_divergence != 0 || rec.reg_divergence != 0 {
+        None
+    } else if rec.final_retired != end.reference_retired {
+        Some(format!(
+            "retired {} vs {}",
+            rec.final_retired, end.reference_retired
+        ))
+    } else if !end.all_halted {
+        Some("not all halted".to_owned())
+    } else {
+        None
+    }
 }
 
 fn plural(n: u64, one: &str, many: &str) -> String {
@@ -531,7 +581,6 @@ fn plural(n: u64, one: &str, many: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inject::CaseOutcome;
     use acr_sim::{Fault, FaultKind};
     use acr_trace::parse_json;
 
@@ -568,15 +617,24 @@ mod tests {
         }
     }
 
+    /// A halted end state that reached the record's retired count.
+    fn end(mem_words: &[u64], log_totals: (u64, u64)) -> CaseEnd<'_> {
+        CaseEnd {
+            mem_words,
+            reference_retired: 1000,
+            all_halted: true,
+            log_totals,
+        }
+    }
+
     #[test]
     fn bundle_json_is_deterministic_and_parses() {
         let rec = record(CaseOutcome::Diverged);
         let report = BerReport::default();
         let words = [1u64, 2, 3];
-        let a =
-            PostmortemBundle::capture("divergence", 42, &rec, &report, &words, (7, 3), None, None);
-        let b =
-            PostmortemBundle::capture("divergence", 42, &rec, &report, &words, (7, 3), None, None);
+        let end = end(&words, (7, 3));
+        let a = PostmortemBundle::capture("divergence", 42, &rec, &report, &end, None, None);
+        let b = PostmortemBundle::capture("divergence", 42, &rec, &report, &end, None, None);
         assert_eq!(a, b);
         assert_eq!(a.to_json(), b.to_json());
         let doc = parse_json(&a.to_json()).expect("bundle JSON parses");
@@ -594,6 +652,44 @@ mod tests {
         assert!(cause.contains("divergence"), "{cause}");
     }
 
+    /// A case whose memory and registers match the reference but which
+    /// did not converge names the failed condition, not "0 mem, 0 reg".
+    #[test]
+    fn matching_state_names_the_failed_condition() {
+        let mut rec = record(CaseOutcome::Diverged);
+        rec.fault.kind = FaultKind::Crash;
+        rec.mem_divergence = 0;
+        let report = BerReport::default();
+        let retired = CaseEnd {
+            reference_retired: 800,
+            ..end(&[0u64], (0, 0))
+        };
+        let b = PostmortemBundle::capture("divergence", 42, &rec, &report, &retired, None, None);
+        assert!(
+            b.probable_cause.ends_with(
+                "-> final state matches the reference but retired 1000 vs 800 -> divergence"
+            ),
+            "{}",
+            b.probable_cause
+        );
+        let doc = parse_json(&b.to_json()).unwrap();
+        let machine = doc.get("machine").unwrap();
+        assert_eq!(
+            machine.get("failed_condition").and_then(|v| v.as_str()),
+            Some("retired 1000 vs 800")
+        );
+        let running = CaseEnd {
+            all_halted: false,
+            ..end(&[0u64], (0, 0))
+        };
+        let b = PostmortemBundle::capture("divergence", 42, &rec, &report, &running, None, None);
+        assert!(
+            b.probable_cause.contains("but not all halted"),
+            "{}",
+            b.probable_cause
+        );
+    }
+
     #[test]
     fn invariant_breach_dominates_the_narrative() {
         let rec = record(CaseOutcome::Recovered);
@@ -609,8 +705,7 @@ mod tests {
             42,
             &rec,
             &report,
-            &[0u64],
-            (0, 0),
+            &end(&[0u64], (0, 0)),
             None,
             None,
         );
@@ -639,8 +734,7 @@ mod tests {
             1,
             &rec,
             &report,
-            &[0u64],
-            (0, 0),
+            &end(&[0u64], (0, 0)),
             Some(&fr),
             None,
         );

@@ -11,7 +11,8 @@
 //! exports a collapsed-stack flamegraph (speedscope / inferno) plus a
 //! ledger text report — byte-identical for a given seed. The `run`
 //! subcommand runs the paper's configurations over a workload with every
-//! experiment knob exposed.
+//! experiment knob exposed, and `figures` regenerates the paper's tables
+//! and figures (plus the ablation studies) by name.
 //!
 //! Host-performance observability rides alongside: `inject`/`trace`/
 //! `profile` emit a machine-readable run manifest behind `--manifest-out`
@@ -34,6 +35,7 @@ use acr::{
     placement, run_campaign_sweep, run_faulted_sweep, AddrMapConfig, CampaignSweepItem, Experiment,
     ExperimentError, ExperimentSpec, FaultedSweepItem, RunResult,
 };
+use acr_bench::{FigureTask, FIGURE_TASKS, PAPER_FIGURES};
 use acr_ckpt::{
     default_models, default_resilience, fault_from_json, fault_to_json, run_soak, CampaignConfig,
     CampaignError, CaseOutcome, CkptError, OmitReason, ParallelRunner, Scheme, SecondaryStorage,
@@ -83,6 +85,9 @@ USAGE:
     acr_cli run [OPTIONS]        run the paper's configurations (No_Ckpt,
                                  ReCkpt, Ckpt) over each workload and print
                                  time, energy, EDP and checkpoint statistics
+    acr_cli figures [OPTIONS]    print the paper's tables and figures, or
+                                 the --only tasks, in a fixed order; the
+                                 wall time goes to stderr
     acr_cli workloads            list the bundled workloads
     acr_cli help                 show this message
 
@@ -143,6 +148,7 @@ struct RunArgs {
     secondary: Option<u32>,
     adaptive: bool,
     oracle: bool,
+    only: Vec<&'static str>,
     jobs: usize,
     progress: bool,
     print_metrics: bool,
@@ -392,8 +398,14 @@ static SCALE: Flag = Flag::sim(
     "F",
     "scale",
     |a| a.scale.to_string(),
-    "workload scale factor",
-    |a, v| store(&mut a.scale, num(v)),
+    "workload scale factor, positive",
+    |a, v| {
+        a.scale = num(v)?;
+        if !(a.scale > 0.0 && a.scale.is_finite()) {
+            return Err("must be positive".into());
+        }
+        Ok(())
+    },
 );
 
 static CHECKPOINTS: Flag = Flag::sim(
@@ -645,6 +657,23 @@ static ORACLE: Flag = Flag::sim(
     |a, _| store(&mut a.oracle, Ok(true)),
 )
 .elided();
+
+static ONLY: Flag = Flag::sim(
+    "--only",
+    "LIST",
+    "only",
+    |a| a.only.join(","),
+    "figure/table tasks to run, a comma-separated subset of fig01, table1, \
+     figs06-09, table2, fig10, fig10-csv, fig11, fig12, scalability, fig13, \
+     ablation-addrmap, ablation-detection-latency, ablation-hierarchical, \
+     ablation-scratchpad, ablation-trivial-slices, energy-breakdown and \
+     extension-placement; printed in that order",
+    |a, v| {
+        let tasks = pick_presets(v, FIGURE_TASKS, |t| t.0)?;
+        a.only = tasks.iter().map(|t| t.0).collect();
+        Ok(())
+    },
+);
 
 static JOBS: Flag = Flag::knob(
     "--jobs",
@@ -993,8 +1022,23 @@ static RUN: Subcommand = Subcommand {
     run,
 };
 
-static SUBCOMMANDS: [&Subcommand; 8] = [
-    &INJECT, &TRACE, &PROFILE, &BENCH, &DIFF, &SOAK, &SHRINK, &RUN,
+static FIGURES: Subcommand = Subcommand {
+    name: "figures",
+    note: "",
+    opts: &[&[
+        (&ONLY, PAPER_FIGURES),
+        (&SCALE, "1.0"),
+        (&SAMPLE_INTERVAL, "5000"),
+        (&JOBS, "0"),
+        (&METRICS_OUT, ""),
+        (&MANIFEST_OUT, ""),
+    ]],
+    operands: false,
+    run: figures,
+};
+
+static SUBCOMMANDS: [&Subcommand; 9] = [
+    &INJECT, &TRACE, &PROFILE, &BENCH, &DIFF, &SOAK, &SHRINK, &RUN, &FIGURES,
 ];
 
 impl Subcommand {
@@ -1300,14 +1344,9 @@ impl SweepDigest {
         self.retired += r.total_progress * r.injected();
     }
 
-    /// The CLI's combined hash: FNV-1a over the little-endian bytes of
-    /// each workload's content hash, in workload order.
+    /// The CLI's combined hash over the workloads' content hashes.
     fn combined(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        for (_, hash) in &self.hashes {
-            h.write_u64(*hash);
-        }
-        h.finish()
+        combined_hash(&self.hashes)
     }
 
     /// The manifest's sim-hash list: per-workload hashes plus the
@@ -1317,6 +1356,16 @@ impl SweepDigest {
         out.push(("combined".to_owned(), self.combined()));
         out
     }
+}
+
+/// A manifest's `combined` hash: FNV-1a over the little-endian bytes of
+/// each hash, in order.
+fn combined_hash(hashes: &[(String, u64)]) -> u64 {
+    let mut h = Fnv1a::new();
+    for (_, hash) in hashes {
+        h.write_u64(*hash);
+    }
+    h.finish()
 }
 
 fn write_manifest(path: &str, m: &Manifest) -> Result<(), String> {
@@ -2484,6 +2533,76 @@ fn run_workload(a: &RunArgs, bench: Benchmark) -> Result<(), ExperimentError> {
     Ok(())
 }
 
+/// Runs the `--only` tasks across `--jobs` workers and prints their
+/// reports in task order, so stdout is byte-identical for every jobs
+/// value; the wall time goes to stderr. The manifest hashes each task's
+/// report text and times it under `host.phase.<task>.ns`.
+fn figures(a: &RunArgs) -> Result<ExitCode, String> {
+    let tasks: Vec<&FigureTask> = FIGURE_TASKS
+        .iter()
+        .filter(|t| a.only.contains(&t.0))
+        .collect();
+    let mut host = HostPerf::start();
+    // Each worker times its own task; the per-task wall times come back
+    // with the reports, so host.phase.* is accurate under any --jobs.
+    let chunks = host.time("figures", || {
+        ParallelRunner::new(a.jobs).run_ordered(tasks.len(), |i| {
+            let sw = Stopwatch::start();
+            let out = (tasks[i].1)(a.scale);
+            (out, sw.elapsed_ns())
+        })
+    });
+    let mut sim_hashes: Vec<(String, u64)> = Vec::new();
+    let mut digest = Fnv1a::new();
+    for ((name, _), (chunk, task_ns)) in tasks.iter().zip(chunks) {
+        let reports = chunk.map_err(|e| format!("{name}: {e}"))?;
+        host.add_phase_ns(name, task_ns);
+        let mut h = Fnv1a::new();
+        for report in reports {
+            h.write(report.as_bytes());
+            digest.write(report.as_bytes());
+            print!("{report}");
+            println!();
+        }
+        sim_hashes.push(((*name).to_owned(), h.finish()));
+    }
+    if let Some(path) = &a.metrics_out {
+        let jsonl = host
+            .time("metrics", || {
+                acr_bench::sampled_metrics(a.scale, a.sample_interval)
+            })
+            .map_err(|e| format!("metrics: {e}"))?;
+        std::fs::write(path, jsonl).map_err(|e| format!("{path}: {e}"))?;
+        println!(
+            "metrics samples (every {} cycles) -> {path}",
+            a.sample_interval
+        );
+        println!();
+    }
+    if let Some(path) = &a.manifest_out {
+        let combined = combined_hash(&sim_hashes);
+        sim_hashes.push(("combined".to_owned(), combined));
+        host.record_jobs(
+            a.jobs as u64,
+            ParallelRunner::new(a.jobs).jobs() as u64,
+            &[],
+        );
+        let m = Manifest {
+            command: "figures".to_owned(),
+            config: FIGURES.config(a),
+            sim_hashes,
+            metrics_digest: digest.finish(),
+            host: host.finish(),
+            bench: None,
+        };
+        write_manifest(path, &m)?;
+        println!("manifest -> {path}");
+        println!();
+    }
+    eprintln!("total wall time: {:.1}s", host.wall_ns() as f64 / 1e9);
+    Ok(ExitCode::SUCCESS)
+}
+
 /// Object member as a string (`"?"` for absent or mistyped keys — the
 /// renderer degrades instead of erroring on a hand-edited bundle).
 fn jstr<'a>(j: &'a Json, key: &str) -> &'a str {
@@ -2586,12 +2705,17 @@ fn explain(args: &[String]) -> Result<ExitCode, String> {
             jnum(m, "final_retired"),
             jstr(m, "mem_fnv")
         );
-        println!(
-            "  divergence: {} mem, {} reg, {} shadow words",
-            jnum(m, "mem_divergence"),
-            jnum(m, "reg_divergence"),
-            jnum(m, "shadow_divergence")
-        );
+        // A diverged case whose memory and registers match the reference
+        // names the progress condition it failed instead.
+        match m.get("failed_condition") {
+            Some(Json::Str(cond)) => println!("  divergence: {cond}"),
+            _ => println!(
+                "  divergence: {} mem, {} reg, {} shadow words",
+                jnum(m, "mem_divergence"),
+                jnum(m, "reg_divergence"),
+                jnum(m, "shadow_divergence")
+            ),
+        }
     }
     if let Some(l) = j.get("log") {
         println!(
@@ -2753,6 +2877,9 @@ mod tests {
             unique.dedup();
             assert_eq!(unique.len(), keys.len(), "{}: duplicate key", cmd.name);
         }
+        for (name, _) in FIGURE_TASKS {
+            assert!(ONLY.help.contains(name), "--only help misses {name}");
+        }
         // Defaults the table spells out that other crates also define.
         assert_eq!(RUN.defaults().seed, WorkloadConfig::default().seed);
         assert_eq!(SOAK.defaults().models, default_models());
@@ -2833,8 +2960,14 @@ mod tests {
             (&BENCH, ["--threads", "65"]),
             (&RUN, ["--threads", "0"]),
             (&RUN, ["--latency", "1.5"]),
+            (&FIGURES, ["--scale", "0"]),
+            (&FIGURES, ["--scale", "nan"]),
+            (&FIGURES, ["--only", "nosuch"]),
+            (&FIGURES, ["--only", "fig10,"]),
         ] {
-            assert!(cmd.parse(&argv(&args)).is_err(), "{} {args:?}", cmd.name);
+            // main prints the message as the one `error:` line of exit 2.
+            let err = cmd.parse(&argv(&args)).expect_err(cmd.name);
+            assert!(!err.contains('\n'), "{} {args:?}: {err}", cmd.name);
         }
         assert!(planned_faults(42, 5, 4, 2).is_err());
         let faults = planned_faults(42, 4, 4, 2).expect("one fault per progress point");
@@ -2897,6 +3030,12 @@ mod tests {
             "--addrmap" => &["64", "1024"],
             "--secondary" => &["2", "4"],
             "--adaptive" | "--oracle" => &[""],
+            "--only" => &[
+                "fig01",
+                "table2,fig10",
+                "fig10-csv,ablation-addrmap",
+                "fig13,figs06-09,extension-placement",
+            ],
             other => panic!("no sample values for {other}"),
         };
         pool[rng.gen_range(0..pool.len())]

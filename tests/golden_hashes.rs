@@ -1,5 +1,6 @@
 //! Golden campaign content hashes, plus digests of the phantom-error
-//! path the paper figures run through and of the compiler pass's output.
+//! path the paper figures run through, of the figure reports themselves
+//! and of the compiler pass's output.
 //!
 //! These tests replicate `acr_cli inject`'s exact campaign construction —
 //! workload list, per-workload fault split, seed offsets, spec and
@@ -20,6 +21,7 @@
 //! (`cargo test --release`); CI also checks them through the CLI itself.
 
 use acr::{run_campaign_sweep, CampaignSweepItem, Experiment, ExperimentSpec};
+use acr_bench::FIGURE_TASKS;
 use acr_ckpt::{CampaignConfig, Scheme};
 use acr_sim::FaultKindSet;
 use acr_slicer::{instrument, SliceStats, SlicerConfig};
@@ -31,12 +33,18 @@ const SCALE: f64 = 0.05;
 const BENCHES: [Benchmark; 3] = [Benchmark::Is, Benchmark::Cg, Benchmark::Mg];
 
 /// Mirrors `acr_cli inject`: `faults` split evenly across the workloads
-/// (remainder to the first ones), per-workload seed = `seed + index`.
-fn items(seed: u64, faults: u32, recovery_faults: bool) -> Vec<CampaignSweepItem> {
-    let n = BENCHES.len() as u32;
+/// (remainder to the first ones), per-workload seed = `seed + index`, the
+/// rest of each workload's campaign from `template`.
+fn items(
+    benches: &[Benchmark],
+    seed: u64,
+    faults: u32,
+    template: &CampaignConfig,
+) -> Vec<CampaignSweepItem> {
+    let n = benches.len() as u32;
     let base = faults / n;
     let rem = faults % n;
-    BENCHES
+    benches
         .iter()
         .enumerate()
         .map(|(i, &bench)| CampaignSweepItem {
@@ -50,9 +58,7 @@ fn items(seed: u64, faults: u32, recovery_faults: bool) -> Vec<CampaignSweepItem
             campaign: CampaignConfig {
                 seed: seed.wrapping_add(i as u64),
                 count: base + u32::from((i as u32) < rem),
-                kinds: FaultKindSet::recoverable(),
-                recovery_faults,
-                ..CampaignConfig::default()
+                ..template.clone()
             },
             amnesic: true,
         })
@@ -74,8 +80,14 @@ fn combined(hashes: &[u64]) -> u64 {
 /// Runs the replicated inject campaign and returns per-workload content
 /// hashes, using a parallel jobs value so the golden pins also exercise
 /// the sharded merge path.
-fn content_hashes(seed: u64, faults: u32, recovery_faults: bool, jobs: usize) -> Vec<u64> {
-    let items = items(seed, faults, recovery_faults);
+fn content_hashes(
+    benches: &[Benchmark],
+    seed: u64,
+    faults: u32,
+    template: &CampaignConfig,
+    jobs: usize,
+) -> Vec<u64> {
+    let items = items(benches, seed, faults, template);
     run_campaign_sweep(&items, jobs, |item| {
         let bench = Benchmark::from_name(&item.name).expect("items are built from benchmarks");
         ExperimentSpec::default()
@@ -216,10 +228,19 @@ fn golden_hash_instrumentation() {
     );
 }
 
+/// The default `inject` campaign: recoverable kinds, global scheme.
+fn inject_defaults(recovery_faults: bool) -> CampaignConfig {
+    CampaignConfig {
+        kinds: FaultKindSet::recoverable(),
+        recovery_faults,
+        ..CampaignConfig::default()
+    }
+}
+
 /// `inject --seed 42 --faults 200`: cheap enough for every profile.
 #[test]
 fn golden_hash_200_faults() {
-    let hashes = content_hashes(42, 200, false, 4);
+    let hashes = content_hashes(&BENCHES, 42, 200, &inject_defaults(false), 4);
     assert_eq!(
         hashes,
         [0x06521c827f174fec, 0xbece6c8dc712d4d7, 0x952051189f0f9d35],
@@ -232,7 +253,7 @@ fn golden_hash_200_faults() {
 #[cfg(not(debug_assertions))]
 #[test]
 fn golden_hash_1000_faults() {
-    let hashes = content_hashes(42, 1000, false, 4);
+    let hashes = content_hashes(&BENCHES, 42, 1000, &inject_defaults(false), 4);
     assert_eq!(
         hashes,
         [0x81b27c1de07d532a, 0xb0b066289f8a1355, 0xdfc7df89a8fb09fb],
@@ -246,11 +267,67 @@ fn golden_hash_1000_faults() {
 #[cfg(not(debug_assertions))]
 #[test]
 fn golden_hash_1000_faults_with_recovery_faults() {
-    let hashes = content_hashes(42, 1000, true, 4);
+    let hashes = content_hashes(&BENCHES, 42, 1000, &inject_defaults(true), 4);
     assert_eq!(
         hashes,
         [0xe9627d0decaffc76, 0x4aa17e0ee53bbe4f, 0x7c9e13d0005fd6c9],
         "per-workload content hashes moved"
     );
     assert_eq!(combined(&hashes), 0x3911050a1804b4e6, "combined hash moved");
+}
+
+/// `inject --seed 42 --faults 30 --workloads ft,dc,lu --scheme local
+/// --kinds crash`: a crash power-cycles every core, so under the local
+/// scheme too every case must roll the whole machine back and recover.
+#[test]
+fn golden_hash_local_crashes() {
+    let crashes = CampaignConfig {
+        kinds: FaultKindSet {
+            reg: false,
+            pc: false,
+            mem: false,
+            burst: false,
+            stuck: false,
+            crash: true,
+        },
+        scheme: Scheme::LocalCoordinated,
+        ..CampaignConfig::default()
+    };
+    let benches = [Benchmark::Ft, Benchmark::Dc, Benchmark::Lu];
+    let hashes = content_hashes(&benches, 42, 30, &crashes, 2);
+    assert_eq!(
+        hashes,
+        [0x87800bbbb0c30d2d, 0x5e798337f284d6ea, 0x3a11d34d5a5c5527],
+        "per-workload content hashes moved"
+    );
+    assert_eq!(combined(&hashes), 0xe1ac127ee86a7cd1, "combined hash moved");
+}
+
+/// Per-task FNV-1a hashes of the figure reports `acr_cli figures --scale
+/// 0.05 --only fig01,table1,figs06-09,fig10` prints, the same values its
+/// manifest records. These were taken from the per-figure report
+/// functions before they were folded into one task list.
+#[test]
+fn golden_hash_figures() {
+    let hashes: Vec<(&str, u64)> = FIGURE_TASKS
+        .iter()
+        .filter(|(name, _)| ["fig01", "table1", "figs06-09", "fig10"].contains(name))
+        .map(|(name, run)| {
+            let mut h = Fnv1a::new();
+            for report in run(0.05).expect("figure task runs") {
+                h.write(report.as_bytes());
+            }
+            (*name, h.finish())
+        })
+        .collect();
+    assert_eq!(
+        hashes,
+        [
+            ("fig01", 0x98a9c589205a0d4b),
+            ("table1", 0x632bade0057951a3),
+            ("figs06-09", 0xb6f5ec179a150ed5),
+            ("fig10", 0x1dca18ca347e1e35),
+        ],
+        "figure report hashes moved"
+    );
 }

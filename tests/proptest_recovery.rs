@@ -5,14 +5,16 @@
 
 use acr::{AcrPolicy, AddrMapConfig, Experiment, ExperimentSpec};
 use acr_ckpt::{
-    detection_latency, uniform_points, BerConfig, BerEngine, BerReport, ErrorSchedule, NoOmission,
-    OmissionPolicy, ResilienceConfig, ScheduledError, Scheme,
+    detection_latency, uniform_points, BerConfig, BerEngine, BerReport, CampaignConfig,
+    CaseOutcome, ErrorSchedule, NoOmission, OmissionPolicy, ResilienceConfig, ScheduledError,
+    Scheme,
 };
 use acr_isa::{AluOp, Program, ProgramBuilder, Reg};
 use acr_mem::CoreId;
 use acr_rng::check::forall;
 use acr_rng::SmallRng;
 use acr_sim::{FaultKindSet, FaultPlan, FaultPlanConfig, Machine, MachineConfig, NoHooks};
+use acr_workloads::{generate, Benchmark, WorkloadConfig};
 
 /// A small parametric kernel family: each thread runs `sweeps` passes
 /// over `words` private words, with a per-thread op/constant mix, an
@@ -244,4 +246,56 @@ fn more_errors_never_cheaper() {
         let some = exp.run_ckpt(2).expect("2 errors");
         assert!(some.cycles >= none.cycles);
     });
+}
+
+/// Every fault kind a correct recovery is guaranteed to repair (register
+/// and pc flips, crashes) recovers under both coordination schemes and
+/// both policies, on kernels whose cores all communicate and on kernels
+/// whose cores form smaller groups.
+#[test]
+fn guaranteed_recoverable_faults_recover_under_every_scheme() {
+    forall(
+        "guaranteed_recoverable_faults_recover_under_every_scheme",
+        6,
+        0x2EC0_0004,
+        |rng| {
+            let bench = *rng.choose(&Benchmark::ALL);
+            let threads = rng.gen_range(2..5u32);
+            let program = generate(
+                bench,
+                &WorkloadConfig::default()
+                    .with_threads(threads)
+                    .with_scale(0.03),
+            );
+            let seed = rng.gen_range(0..u64::MAX);
+            for scheme in [Scheme::GlobalCoordinated, Scheme::LocalCoordinated] {
+                let spec = ExperimentSpec::default()
+                    .with_cores(threads)
+                    .with_threshold(bench.default_threshold())
+                    .with_scheme(scheme);
+                let mut exp = Experiment::new(program.clone(), spec).expect("valid workload");
+                let cfg = CampaignConfig {
+                    seed,
+                    count: 6,
+                    kinds: FaultKindSet::recoverable(),
+                    num_checkpoints: 6,
+                    scheme,
+                    ..CampaignConfig::default()
+                };
+                for amnesic in [false, true] {
+                    let run = exp
+                        .run_fault_campaign(&cfg, amnesic)
+                        .expect("campaign runs");
+                    for c in &run.report.cases {
+                        assert!(c.fault.kind.guaranteed_recoverable(), "{c:?}");
+                        assert_eq!(
+                            c.outcome,
+                            CaseOutcome::Recovered,
+                            "{bench} {scheme:?} amnesic {amnesic}: {c:?}"
+                        );
+                    }
+                }
+            }
+        },
+    );
 }
