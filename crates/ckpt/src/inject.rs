@@ -34,7 +34,7 @@ use acr_sim::{
 
 use acr_trace::{FlightRecorder, Fnv1a, MetricsRegistry, TimeSeries, WorkerLoad};
 
-use crate::engine::{BerConfig, BerEngine, ResilienceConfig, Scheme};
+use crate::engine::{check_recovery_fault_scheme, BerConfig, BerEngine, ResilienceConfig, Scheme};
 use crate::errors::CkptError;
 use crate::parallel::ParallelRunner;
 use crate::policy::OmissionPolicy;
@@ -704,14 +704,7 @@ impl<'a, F> CaseCtx<'a, F> {
         }
         // Only the range check; the latency itself needs the baseline.
         detection_latency(0, cfg.num_checkpoints, cfg.detection_latency_frac)?;
-        if cfg.recovery_faults && cfg.scheme != Scheme::GlobalCoordinated {
-            return Err(CkptError::Unsupported {
-                what: "recovery faults require the global coordinated scheme \
-                       (per-group rollback has no single safe generation to tear)"
-                    .to_string(),
-            }
-            .into());
-        }
+        check_recovery_fault_scheme(cfg.scheme, cfg.recovery_faults)?;
         let base = fault_free_baseline(program, machine, cfg.interp_fuel, cfg.sample_interval)?;
         Ok(CaseCtx {
             program,
@@ -756,7 +749,6 @@ where
             Vec::new()
         },
         watchdog_budget_cycles: cfg.watchdog_budget_cycles,
-        ..Default::default()
     };
     let recovery_fault = resilience.recovery_faults.first().map(|f| f.kind);
     let ber = BerConfig {
@@ -781,7 +773,8 @@ where
     } else {
         None
     };
-    let mut engine = BerEngine::new(m, (ctx.policy)(), ber);
+    let mut engine =
+        BerEngine::new(m, (ctx.policy)(), ber).expect("CaseCtx::new validated the configuration");
     match engine.run_to_completion() {
         Ok(report) => {
             let m = engine.machine();

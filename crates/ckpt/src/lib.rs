@@ -42,6 +42,7 @@ mod monitor;
 pub mod parallel;
 mod policy;
 mod postmortem;
+mod recovery;
 mod report;
 mod schedule;
 mod shrink;
@@ -61,6 +62,7 @@ pub use policy::{NoOmission, OmissionPolicy, Recomputed};
 pub use postmortem::{
     CaseEnd, EscalationStep, EventRecord, PostmortemBundle, RingDigest, POSTMORTEM_SCHEMA,
 };
+pub use recovery::MAX_REPLAY_RETRIES;
 pub use report::{BerReport, IntervalRecord, RecoveryRecord};
 pub use schedule::{detection_latency, uniform_points, ErrorSchedule, ScheduledError};
 pub use shrink::{

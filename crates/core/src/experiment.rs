@@ -116,7 +116,7 @@ pub struct ExperimentSpec {
     /// checkpoint contents (the default keeps the hot path free of it).
     pub profile: bool,
     /// Torn-recovery resilience: checkpoint generations retained as
-    /// fallbacks, the re-replay retry bound, and (for tests/injection)
+    /// fallbacks, the recovery watchdog, and (for tests/injection)
     /// scheduled recovery-window faults. The default (`generations: 1`,
     /// no faults) is behaviourally identical to a build without the
     /// escalation machinery.
@@ -452,12 +452,13 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Propagates simulator errors.
+    /// Propagates simulator errors, and rejects a `spec.resilience` the
+    /// engine cannot run (see [`BerEngine::new`]).
     pub fn run_ckpt(&mut self, errors: u32) -> Result<RunResult, ExperimentError> {
         let cfg = self.ber_config(errors)?;
         let mut machine = Machine::new(self.spec.machine, &self.raw);
         self.attach_observability(&mut machine);
-        let mut engine = BerEngine::new(machine, NoOmission, cfg);
+        let mut engine = BerEngine::new(machine, NoOmission, cfg)?;
         if self.spec.profile {
             engine.enable_ledger();
         }
@@ -482,7 +483,8 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Propagates simulator errors.
+    /// Propagates simulator errors, and rejects a `spec.resilience` the
+    /// engine cannot run (see [`BerEngine::new`]).
     pub fn run_reckpt(&mut self, errors: u32) -> Result<RunResult, ExperimentError> {
         let cfg = self.ber_config(errors)?;
         let label = label_for("ReCkpt", errors, self.spec.scheme);
@@ -528,7 +530,7 @@ impl Experiment {
             .with_scratchpad(self.spec.scratchpad)
             .with_rejected_pcs(&slice_stats.rejected_store_pcs)
             .with_generations(cfg.resilience.generations);
-        let mut engine = BerEngine::new(machine, policy, cfg);
+        let mut engine = BerEngine::new(machine, policy, cfg)?;
         if self.spec.profile {
             engine.enable_ledger();
         }
@@ -1052,5 +1054,43 @@ mod tests {
             ));
         }
         assert!(Experiment::new(recomputable_kernel(2, 10), spec().with_cores(64)).is_ok());
+    }
+
+    /// Runs `run_ckpt` and `run_reckpt` under `spec` and expects both to
+    /// reject the engine configuration with a typed error naming `reason`.
+    fn assert_engine_config_rejected(spec: ExperimentSpec, reason: &str) {
+        use acr_ckpt::{CampaignError, CkptError};
+        let mut exp = Experiment::new(recomputable_kernel(2, 50), spec).unwrap();
+        for err in [exp.run_ckpt(1).unwrap_err(), exp.run_reckpt(1).unwrap_err()] {
+            assert!(matches!(
+                err,
+                ExperimentError::Campaign(CampaignError::Config(CkptError::Unsupported { .. }))
+            ));
+            assert!(err.to_string().contains(reason), "{err}");
+        }
+    }
+
+    #[test]
+    fn recovery_faults_under_the_local_scheme_are_a_typed_error() {
+        let spec = spec()
+            .with_cores(2)
+            .with_scheme(Scheme::LocalCoordinated)
+            .with_resilience(ResilienceConfig {
+                recovery_faults: vec![acr_sim::RecoveryFault {
+                    at_recovery: 0,
+                    kind: acr_sim::RecoveryFaultKind::CrashMidRestore,
+                }],
+                ..ResilienceConfig::default()
+            });
+        assert_engine_config_rejected(spec, "global coordinated");
+    }
+
+    #[test]
+    fn zero_generations_is_a_typed_error() {
+        let spec = spec().with_cores(2).with_resilience(ResilienceConfig {
+            generations: 0,
+            ..ResilienceConfig::default()
+        });
+        assert_engine_config_rejected(spec, "generation");
     }
 }

@@ -154,7 +154,7 @@ fn run_schedule<P: OmissionPolicy>(
         secondary: None,
         resilience: ResilienceConfig::default(),
     };
-    let mut engine = BerEngine::new(machine, policy, cfg);
+    let mut engine = BerEngine::new(machine, policy, cfg).expect("valid engine config");
     let rep = engine.run_to_completion().expect("recoverable run");
     (rep, engine.machine().mem().image().words().to_vec())
 }
