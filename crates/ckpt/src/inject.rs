@@ -42,7 +42,7 @@ use crate::postmortem::{CaseEnd, PostmortemBundle};
 use crate::schedule::{detection_latency, uniform_points, ErrorSchedule};
 
 /// Recovery-fault kind labels, in rendering order (escalation histogram).
-const RECOVERY_FAULT_LABELS: [&str; 5] = [
+pub(crate) const RECOVERY_FAULT_LABELS: [&str; 5] = [
     "replay-input",
     "restored-word",
     "torn-record",
@@ -205,6 +205,13 @@ pub enum CaseOutcome {
 }
 
 impl CaseOutcome {
+    /// Every outcome, in label order.
+    pub const ALL: [CaseOutcome; 3] = [
+        CaseOutcome::Recovered,
+        CaseOutcome::Diverged,
+        CaseOutcome::Aborted,
+    ];
+
     /// Stable label for reports.
     pub fn label(self) -> &'static str {
         match self {

@@ -81,11 +81,6 @@ impl OmitReason {
         }
     }
 
-    /// True for the (single) omitted reason.
-    pub fn is_omitted(self) -> bool {
-        self == OmitReason::OmittedSlice
-    }
-
     fn idx(self) -> usize {
         match self {
             OmitReason::OmittedSlice => 0,

@@ -60,14 +60,14 @@ pub use monitor::{BreachRecord, InvariantSummary, MonitorCounters};
 pub use parallel::{available_jobs, ParallelRunner, JOBS_ENV};
 pub use policy::{NoOmission, OmissionPolicy, Recomputed};
 pub use postmortem::{
-    CaseEnd, EscalationStep, EventRecord, PostmortemBundle, RingDigest, POSTMORTEM_SCHEMA,
+    CaseEnd, EscalationStep, EventRecord, PostmortemBundle, RingDigest, POSTMORTEM_SCHEMA, TRIGGERS,
 };
 pub use recovery::MAX_REPLAY_RETRIES;
 pub use report::{BerReport, IntervalRecord, RecoveryRecord};
 pub use schedule::{detection_latency, uniform_points, ErrorSchedule, ScheduledError};
 pub use shrink::{
     dense_fault_plan, fault_from_json, fault_to_json, replay_case, shrink_case, CaseFailure,
-    ShrinkConfig, ShrinkOutcome, REPRO_SCHEMA,
+    ReproDoc, ShrinkConfig, ShrinkOutcome, REPRO_SCHEMA,
 };
 pub use soak::{
     chunk_config, chunk_seed, default_models, default_resilience, run_soak, SoakCell, SoakCombo,

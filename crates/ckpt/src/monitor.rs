@@ -104,6 +104,19 @@ impl InvariantSummary {
         self.monitors().iter().map(|(_, c)| c.breaches).sum()
     }
 
+    /// The counters of the monitor named `monitor` (one of the
+    /// [`InvariantSummary::monitors`] names).
+    pub(crate) fn counters_mut(&mut self, monitor: &str) -> &mut MonitorCounters {
+        match monitor {
+            "log_conservation" => &mut self.log_conservation,
+            "epoch_monotonic" => &mut self.epoch_monotonic,
+            "addrmap_occupancy" => &mut self.addrmap_occupancy,
+            "checksum_spot" => &mut self.checksum_spot,
+            "machine_audit" => &mut self.machine_audit,
+            other => unreachable!("unknown invariant monitor {other}"),
+        }
+    }
+
     /// Records one evaluation of `monitor`; a `Some(detail)` outcome is a
     /// breach and captures the first-breach record.
     pub(crate) fn observe(
@@ -113,16 +126,7 @@ impl InvariantSummary {
         cycle: u64,
         outcome: Option<String>,
     ) {
-        let breach = outcome.is_some();
-        let counters = match monitor {
-            "log_conservation" => &mut self.log_conservation,
-            "epoch_monotonic" => &mut self.epoch_monotonic,
-            "addrmap_occupancy" => &mut self.addrmap_occupancy,
-            "checksum_spot" => &mut self.checksum_spot,
-            "machine_audit" => &mut self.machine_audit,
-            other => unreachable!("unknown invariant monitor {other}"),
-        };
-        counters.observe(breach);
+        self.counters_mut(monitor).observe(outcome.is_some());
         if let (Some(detail), None) = (outcome, &self.first_breach) {
             self.first_breach = Some(BreachRecord {
                 monitor,

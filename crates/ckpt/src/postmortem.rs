@@ -21,16 +21,29 @@
 //! the same seed produce *byte-identical* JSON — `acr_cli` pins this in
 //! CI by double-running a forced-divergence campaign and comparing the
 //! bundle files. [`PostmortemBundle::to_json`] emits the `acr.postmortem.v1`
-//! schema that `acr_cli explain` renders.
+//! schema; [`PostmortemBundle::from_json`] decodes it for `acr_cli explain`.
 
-use acr_trace::{push_json_string, EventKind, FlightRecorder, Fnv1a, Ring, TraceEvent};
+use acr_sim::FaultKindSet;
+use acr_trace::{
+    push_json_string, read_document, EventKind, FlightRecorder, Fnv1a, JsonError, ObjReader, Ring,
+    TraceEvent,
+};
 
-use crate::inject::{fault_detail, CaseOutcome, FaultCaseRecord};
-use crate::monitor::InvariantSummary;
+use crate::inject::{fault_detail, CaseOutcome, FaultCaseRecord, RECOVERY_FAULT_LABELS};
+use crate::monitor::{BreachRecord, InvariantSummary, MonitorCounters};
 use crate::report::{BerReport, IntervalRecord};
 
 /// Schema tag of [`PostmortemBundle::to_json`] documents.
 pub const POSTMORTEM_SCHEMA: &str = "acr.postmortem.v1";
+
+/// Every postmortem trigger label (see [`PostmortemBundle::trigger`]).
+pub const TRIGGERS: [&str; 5] = [
+    "divergence",
+    "abort",
+    "hang",
+    "escalation-exhaustion",
+    "invariant-breach",
+];
 
 /// Sealed intervals retained in the bundle's ledger tail.
 const INTERVAL_TAIL: usize = 8;
@@ -69,14 +82,19 @@ pub struct EventRecord {
     pub args: Vec<(String, u64)>,
 }
 
+/// The bundle label of an event shape.
+fn kind_label(kind: EventKind) -> &'static str {
+    match kind {
+        EventKind::Span => "span",
+        EventKind::Instant => "instant",
+        EventKind::Counter => "counter",
+    }
+}
+
 impl EventRecord {
     fn from_event(ev: &TraceEvent) -> Self {
         EventRecord {
-            kind: match ev.kind {
-                EventKind::Span => "span",
-                EventKind::Instant => "instant",
-                EventKind::Counter => "counter",
-            },
+            kind: kind_label(ev.kind),
             name: ev.name.to_string(),
             cat: ev.cat.to_string(),
             track: ev.track,
@@ -466,6 +484,190 @@ impl PostmortemBundle {
         o.push_str("\n}\n");
         o
     }
+}
+
+impl PostmortemBundle {
+    /// Decodes a bundle rendered by [`PostmortemBundle::to_json`]. Labels
+    /// must come from the sets the engine emits, and
+    /// `invariants.breaches` must equal the per-monitor breach sum.
+    /// Interval fields the bundle does not carry decode as 0.
+    ///
+    /// # Errors
+    ///
+    /// A [`JsonError`] naming the first bad field.
+    pub fn from_json(text: &str) -> Result<PostmortemBundle, JsonError> {
+        read_document(text, POSTMORTEM_SCHEMA, |o| {
+            let trigger = o.field("trigger")?.label(TRIGGERS)?;
+            let workload = o.field("workload")?.str()?.to_owned();
+            let repro = o.field("repro")?.str()?.to_owned();
+            let seed = o.field("seed")?.uint()?;
+            let case = o.field("case")?.uint()?;
+            let (fault_kind, fault_detail, fault_core, fault_at_progress, landing_cycle) =
+                o.field("fault")?.object(|f| {
+                    Ok((
+                        f.field("kind")?
+                            .label(FaultKindSet::adversarial().labels(true))?,
+                        f.field("detail")?.str()?.to_owned(),
+                        f.field("core")?.uint()?,
+                        f.field("at_progress")?.uint()?,
+                        f.field("landing_cycle")?.uint()?,
+                    ))
+                })?;
+            let recovery_fault = match o.field("recovery_fault")?.nullable() {
+                Some(f) => Some(f.label(RECOVERY_FAULT_LABELS)?),
+                None => None,
+            };
+            let outcome = o
+                .field("outcome")?
+                .label(CaseOutcome::ALL.map(CaseOutcome::label))?;
+            let machine = o.field("machine")?;
+            let log = o.field("log")?;
+            let escalation = o.field("escalation")?;
+            let mut b = machine.object(|m| {
+                Ok(PostmortemBundle {
+                    trigger,
+                    workload,
+                    repro,
+                    seed,
+                    case,
+                    fault_kind,
+                    fault_detail,
+                    fault_core,
+                    fault_at_progress,
+                    landing_cycle,
+                    recovery_fault,
+                    outcome,
+                    cycles: m.field("cycles")?.uint()?,
+                    final_retired: m.field("final_retired")?.uint()?,
+                    mem_fnv: m.field("mem_fnv")?.hex(16)?,
+                    mem_divergence: m.field("mem_divergence")?.uint()?,
+                    reg_divergence: m.field("reg_divergence")?.uint()?,
+                    shadow_divergence: m.field("shadow_divergence")?.uint()?,
+                    failed_condition: match m.field("failed_condition")?.nullable() {
+                        Some(f) => Some(f.str()?.to_owned()),
+                        None => None,
+                    },
+                    lifetime_logged: 0,
+                    lifetime_omitted: 0,
+                    intervals_tail: Vec::new(),
+                    intervals_dropped: 0,
+                    escalation: Vec::new(),
+                    escalation_exhausted: 0,
+                    invariants: InvariantSummary::default(),
+                    rings: Vec::new(),
+                    probable_cause: String::new(),
+                })
+            })?;
+            log.object(|l| {
+                b.lifetime_logged = l.field("lifetime_logged")?.uint()?;
+                b.lifetime_omitted = l.field("lifetime_omitted")?.uint()?;
+                b.intervals_dropped = l.field("intervals_dropped")?.uint()?;
+                for iv in l.field("intervals_tail")?.items()? {
+                    b.intervals_tail.push(iv.object(|iv| {
+                        Ok(IntervalRecord {
+                            epoch: iv.field("epoch")?.uint()?,
+                            progress: iv.field("progress")?.uint()?,
+                            records: iv.field("records")?.uint()?,
+                            omitted: iv.field("omitted")?.uint()?,
+                            bytes: iv.field("bytes")?.uint()?,
+                            stall_cycles: iv.field("stall_cycles")?.uint()?,
+                            baseline_bytes: 0,
+                            lines_flushed: 0,
+                        })
+                    })?);
+                }
+                Ok(())
+            })?;
+            escalation.object(|e| {
+                b.escalation_exhausted = e.field("exhausted")?.uint()?;
+                for step in e.field("steps")?.items()? {
+                    b.escalation.push(step.object(|s| {
+                        Ok(EscalationStep {
+                            detected_at_cycles: s.field("detected_at_cycles")?.uint()?,
+                            safe_epoch: s.field("safe_epoch")?.uint()?,
+                            replay_retries: s.field("replay_retries")?.uint()?,
+                            generation_fallbacks: s.field("generation_fallbacks")?.uint()?,
+                            degraded_entered: s.field("degraded_entered")?.bool()?,
+                        })
+                    })?);
+                }
+                Ok(())
+            })?;
+            b.invariants = o.field("invariants")?.object(invariants_from_json)?;
+            for ring in o.field("rings")?.items()? {
+                b.rings.push(ring.object(|r| {
+                    Ok(RingDigest {
+                        track: r.field("track")?.str()?.to_owned(),
+                        capacity: r.field("capacity")?.uint()?,
+                        total: r.field("total")?.uint()?,
+                        dropped: r.field("dropped")?.uint()?,
+                        events: r
+                            .field("events")?
+                            .items()?
+                            .iter()
+                            .map(|ev| ev.object(event_from_json))
+                            .collect::<Result<_, _>>()?,
+                    })
+                })?);
+            }
+            b.probable_cause = o.field("probable_cause")?.str()?.to_owned();
+            Ok(b)
+        })
+    }
+}
+
+fn invariants_from_json(o: &mut ObjReader<'_>) -> Result<InvariantSummary, JsonError> {
+    let breaches = o.field("breaches")?;
+    let mut inv = InvariantSummary::default();
+    let names = inv.monitors().map(|(name, _)| name);
+    o.field("monitors")?.object(|m| {
+        for name in names {
+            *inv.counters_mut(name) = m.field(name)?.object(|c| {
+                Ok(MonitorCounters {
+                    checks: c.field("checks")?.uint()?,
+                    breaches: c.field("breaches")?.uint()?,
+                })
+            })?;
+        }
+        Ok(())
+    })?;
+    if let Some(fb) = o.field("first_breach")?.nullable() {
+        inv.first_breach = Some(fb.object(|b| {
+            Ok(BreachRecord {
+                monitor: b.field("monitor")?.label(names)?,
+                epoch: b.field("epoch")?.uint()?,
+                cycle: b.field("cycle")?.uint()?,
+                detail: b.field("detail")?.str()?.to_owned(),
+            })
+        })?);
+    }
+    let n: u64 = breaches.uint()?;
+    if n != inv.total_breaches() {
+        return Err(breaches.err(format!(
+            "{n} does not match the monitors' {} breaches",
+            inv.total_breaches()
+        )));
+    }
+    Ok(inv)
+}
+
+fn event_from_json(o: &mut ObjReader<'_>) -> Result<EventRecord, JsonError> {
+    Ok(EventRecord {
+        kind: o
+            .field("kind")?
+            .label([EventKind::Span, EventKind::Instant, EventKind::Counter].map(kind_label))?,
+        name: o.field("name")?.str()?.to_owned(),
+        cat: o.field("cat")?.str()?.to_owned(),
+        track: o.field("track")?.uint()?,
+        cycle: o.field("cycle")?.uint()?,
+        dur: o.field("dur")?.uint()?,
+        args: o.field("args")?.object(|a| {
+            a.rest()
+                .into_iter()
+                .map(|(k, v)| Ok((k.to_owned(), v.uint()?)))
+                .collect()
+        })?,
+    })
 }
 
 /// Builds the probable-cause narrative: first breach wins, otherwise the

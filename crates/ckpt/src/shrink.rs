@@ -21,15 +21,15 @@
 //! `"abort"`, `"hang"`, …): a shrunk plan must reproduce the exact
 //! trigger of the original failure, not merely *some* failure, so the
 //! minimal case is a reproducer of the bug class under triage. The final
-//! plan serializes to a small `acr.repro.v1` JSON document via
-//! [`fault_to_json`]; [`fault_from_json`] round-trips it for replay.
+//! plan serializes to a small `acr.repro.v1` [`ReproDoc`] JSON document;
+//! [`ReproDoc::from_json`] round-trips it for replay.
 
 use std::fmt::Write as _;
 
-use acr_isa::Program;
+use acr_isa::{Program, NUM_REGS};
 use acr_mem::{CoreId, WordAddr};
-use acr_sim::{Fault, FaultKind, MachineConfig};
-use acr_trace::{push_json_string, Json, MetricsRegistry};
+use acr_sim::{Fault, FaultKind, FaultKindSet, MachineConfig, BURST_MAX_SPAN, PC_FAULT_BITS};
+use acr_trace::{push_json_string, read_document, Field, JsonError, MetricsRegistry, ObjReader};
 
 use crate::errors::CkptError;
 use crate::inject::{
@@ -38,7 +38,7 @@ use crate::inject::{
 };
 use crate::parallel::ParallelRunner;
 use crate::policy::OmissionPolicy;
-use crate::postmortem::PostmortemBundle;
+use crate::postmortem::{PostmortemBundle, TRIGGERS};
 
 /// Repro document schema identifier.
 pub const REPRO_SCHEMA: &str = "acr.repro.v1";
@@ -463,58 +463,227 @@ pub fn fault_to_json(f: &Fault) -> String {
     o
 }
 
-/// Parses a fault serialized by [`fault_to_json`].
+/// Decodes a fault rendered by [`fault_to_json`] for a machine of
+/// `cores` cores: every field of the fault's kind is required, and the
+/// core, register, bit and span must lie in the ranges the simulator
+/// injects.
 ///
 /// # Errors
 ///
-/// Returns a message naming the missing or malformed field.
-pub fn fault_from_json(j: &Json) -> Result<Fault, String> {
-    let num = |key: &str| -> Result<u64, String> {
-        j.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("fault field `{key}` missing"))
-    };
-    let bit = || num("bit").map(|b| b as u8);
-    let addr = || -> Result<WordAddr, String> {
-        let s = j
-            .get("addr")
-            .and_then(Json::as_str)
-            .ok_or("fault field `addr` missing")?;
-        let b = u64::from_str_radix(s.trim_start_matches("0x"), 16)
-            .map_err(|e| format!("fault field `addr`: {e}"))?;
-        if b % WORD_BYTES != 0 {
-            return Err(format!("fault field `addr`: {b:#x} is not word-aligned"));
-        }
-        Ok(WordAddr::new(b))
-    };
-    let kind = match j.get("kind").and_then(Json::as_str).unwrap_or("") {
-        "reg" => FaultKind::RegBitFlip {
-            reg: num("reg")? as u8,
-            bit: bit()?,
-        },
-        "pc" => FaultKind::PcBitFlip { bit: bit()? },
-        "mem" => FaultKind::MemBitFlip {
-            addr: addr()?,
-            bit: bit()?,
-        },
-        "burst" => FaultKind::MemBurst {
-            addr: addr()?,
-            bit: bit()?,
-            span: num("span")? as u8,
-        },
-        "stuck" => FaultKind::StuckAt {
-            addr: addr()?,
-            bit: bit()?,
-            stuck_one: matches!(j.get("stuck_one"), Some(Json::Bool(true))),
-        },
-        "crash" => FaultKind::Crash,
-        other => return Err(format!("unknown fault kind `{other}`")),
-    };
-    Ok(Fault {
-        at_progress: num("at")?,
-        core: CoreId(num("core")? as u32),
-        kind,
+/// A [`JsonError`] naming the first bad field.
+pub fn fault_from_json(f: &Field<'_>, cores: u32) -> Result<Fault, JsonError> {
+    f.object(|o| {
+        let at_progress = o.field("at")?.uint()?;
+        let core = below(&o.field("core")?, cores)?;
+        let label = o
+            .field("kind")?
+            .label(FaultKindSet::adversarial().labels(true))?;
+        let bit = |o: &mut ObjReader<'_>, limit: u8| below(&o.field("bit")?, limit);
+        let addr = |o: &mut ObjReader<'_>| -> Result<WordAddr, JsonError> {
+            let field = o.field("addr")?;
+            let b = field.hex(0)?;
+            if b % WORD_BYTES != 0 {
+                return Err(field.err(format!("{b:#x} is not word-aligned")));
+            }
+            Ok(WordAddr::new(b))
+        };
+        let kind = match label {
+            "reg" => FaultKind::RegBitFlip {
+                reg: below(&o.field("reg")?, NUM_REGS as u8)?,
+                bit: bit(o, 64)?,
+            },
+            "pc" => FaultKind::PcBitFlip {
+                bit: bit(o, PC_FAULT_BITS)?,
+            },
+            "mem" => FaultKind::MemBitFlip {
+                addr: addr(o)?,
+                bit: bit(o, 64)?,
+            },
+            "burst" => {
+                let (addr, bit) = (addr(o)?, bit(o, 64)?);
+                let field = o.field("span")?;
+                let span = field.uint()?;
+                if !(2..=BURST_MAX_SPAN).contains(&span) {
+                    return Err(field.err(format!("{span} outside 2..={BURST_MAX_SPAN}")));
+                }
+                FaultKind::MemBurst { addr, bit, span }
+            }
+            "stuck" => FaultKind::StuckAt {
+                addr: addr(o)?,
+                bit: bit(o, 64)?,
+                stuck_one: o.field("stuck_one")?.bool()?,
+            },
+            _ => FaultKind::Crash,
+        };
+        Ok(Fault {
+            at_progress,
+            core: CoreId(core),
+            kind,
+        })
     })
+}
+
+/// An integer field below `limit`.
+fn below<T: TryFrom<u64> + PartialOrd + std::fmt::Display>(
+    f: &Field<'_>,
+    limit: T,
+) -> Result<T, JsonError> {
+    let v: T = f.uint()?;
+    if v < limit {
+        Ok(v)
+    } else {
+        Err(f.err(format!("{v} out of range (limit {limit})")))
+    }
+}
+
+/// An `acr.repro.v1` document: everything `shrink --replay` needs to
+/// rebuild the exact engine configuration of a shrunk case, plus its
+/// minimal fault plan. Fractions are decimal strings and the seed a hex
+/// string, so both round-trip exactly through any JSON parser.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReproDoc {
+    /// Workload name.
+    pub workload: String,
+    /// Case index (seeds the per-case machinery).
+    pub case: usize,
+    /// Campaign plan seed.
+    pub seed: u64,
+    /// Threads (= cores), 1 to 64.
+    pub threads: u32,
+    /// Workload scale factor, positive.
+    pub scale: f64,
+    /// Checkpoints per nominal run.
+    pub checkpoints: u32,
+    /// Detection latency as a fraction of the checkpoint period.
+    pub latency: f64,
+    /// ACR's amnesic policy (`"acr"`) rather than the baseline.
+    pub amnesic: bool,
+    /// Nested recovery-window faults on.
+    pub recovery_faults: bool,
+    /// Checkpoint generations retained, at least 1.
+    pub generations: u32,
+    /// Recovery-watchdog budget in cycles (0 = off).
+    pub watchdog_budget: u64,
+    /// Postmortem trigger of the shrunk failure.
+    pub trigger: &'static str,
+    /// Probable cause of the shrunk failure.
+    pub probable_cause: String,
+    /// Faults in the plan before shrinking.
+    pub original_faults: usize,
+    /// The minimal fault plan.
+    pub faults: Vec<Fault>,
+}
+
+const POLICIES: [&str; 2] = ["acr", "baseline"];
+
+impl ReproDoc {
+    /// Renders the document (fixed key order, one field per line).
+    pub fn to_json(&self) -> String {
+        let mut o = String::from("{\n  \"schema\": ");
+        push_json_string(&mut o, REPRO_SCHEMA);
+        o.push_str(",\n  \"workload\": ");
+        push_json_string(&mut o, &self.workload);
+        let _ = write!(o, ",\n  \"case\": {}", self.case);
+        let _ = write!(o, ",\n  \"seed\": \"{:#x}\"", self.seed);
+        let _ = write!(o, ",\n  \"threads\": {}", self.threads);
+        let _ = write!(o, ",\n  \"scale\": \"{}\"", self.scale);
+        let _ = write!(o, ",\n  \"checkpoints\": {}", self.checkpoints);
+        let _ = write!(o, ",\n  \"latency\": \"{}\"", self.latency);
+        let _ = write!(
+            o,
+            ",\n  \"policy\": \"{}\"",
+            POLICIES[usize::from(!self.amnesic)]
+        );
+        let _ = write!(o, ",\n  \"recovery_faults\": {}", self.recovery_faults);
+        let _ = write!(o, ",\n  \"generations\": {}", self.generations);
+        let _ = write!(o, ",\n  \"watchdog_budget\": {}", self.watchdog_budget);
+        let _ = write!(o, ",\n  \"trigger\": \"{}\"", self.trigger);
+        o.push_str(",\n  \"probable_cause\": ");
+        push_json_string(&mut o, &self.probable_cause);
+        let _ = write!(o, ",\n  \"original_faults\": {}", self.original_faults);
+        o.push_str(",\n  \"faults\": [");
+        for (i, f) in self.faults.iter().enumerate() {
+            o.push_str(if i == 0 { "\n    " } else { ",\n    " });
+            o.push_str(&fault_to_json(f));
+        }
+        o.push_str("\n  ]\n}\n");
+        o
+    }
+
+    /// Decodes a document rendered by [`ReproDoc::to_json`]. Every field
+    /// is required and range-checked as the CLI flags are; each fault's
+    /// core must exist on `threads` cores.
+    ///
+    /// # Errors
+    ///
+    /// A [`JsonError`] naming the first bad field.
+    pub fn from_json(text: &str) -> Result<ReproDoc, JsonError> {
+        read_document(text, REPRO_SCHEMA, |o| {
+            let workload = o.field("workload")?.str()?.to_owned();
+            let case = o.field("case")?.uint()?;
+            let seed = o.field("seed")?.hex(0)?;
+            let field = o.field("threads")?;
+            let threads = field.uint()?;
+            if !(1..=64).contains(&threads) {
+                return Err(field.err(format!("{threads} outside 1..=64")));
+            }
+            let field = o.field("scale")?;
+            let scale = field.decimal()?;
+            if scale <= 0.0 {
+                return Err(field.err(format!("{scale} is not positive")));
+            }
+            let checkpoints = o.field("checkpoints")?.uint()?;
+            let field = o.field("latency")?;
+            let latency = field.decimal()?;
+            if !(0.0..=1.0).contains(&latency) {
+                return Err(field.err(format!("{latency} outside [0, 1]")));
+            }
+            let amnesic = o.field("policy")?.label(POLICIES)? == "acr";
+            let recovery_faults = o.field("recovery_faults")?.bool()?;
+            let field = o.field("generations")?;
+            let generations = field.uint()?;
+            if generations == 0 {
+                return Err(field.err("must be positive"));
+            }
+            Ok(ReproDoc {
+                workload,
+                case,
+                seed,
+                threads,
+                scale,
+                checkpoints,
+                latency,
+                amnesic,
+                recovery_faults,
+                generations,
+                watchdog_budget: o.field("watchdog_budget")?.uint()?,
+                trigger: o.field("trigger")?.label(TRIGGERS)?,
+                probable_cause: o.field("probable_cause")?.str()?.to_owned(),
+                original_faults: o.field("original_faults")?.uint()?,
+                faults: o
+                    .field("faults")?
+                    .items()?
+                    .iter()
+                    .map(|f| fault_from_json(f, threads))
+                    .collect::<Result<_, _>>()?,
+            })
+        })
+    }
+
+    /// The campaign configuration the document's case replays under.
+    pub fn campaign_config(&self) -> CampaignConfig {
+        CampaignConfig {
+            seed: self.seed,
+            count: self.faults.len().max(1) as u32,
+            num_checkpoints: self.checkpoints,
+            detection_latency_frac: self.latency,
+            recovery_faults: self.recovery_faults,
+            generations: self.generations,
+            watchdog_budget_cycles: self.watchdog_budget,
+            jobs: 1,
+            ..CampaignConfig::default()
+        }
+    }
 }
 
 #[cfg(test)]
@@ -731,22 +900,57 @@ mod tests {
                 kind: FaultKind::Crash,
             },
         ];
+        let decode = |text: &str| {
+            let j = parse_json(text).expect("valid JSON");
+            fault_from_json(&Field::root(&j), 2).map_err(|e| e.to_string())
+        };
         for f in faults {
             let text = fault_to_json(&f);
-            let parsed = fault_from_json(&parse_json(&text).expect("valid JSON"))
-                .unwrap_or_else(|e| panic!("{text}: {e}"));
+            let parsed = decode(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
             assert_eq!(parsed, f, "{text}");
         }
-        // Malformed inputs get messages, not panics.
-        let j = parse_json(
-            "{\"at\": 1, \"core\": 0, \"kind\": \"mem\", \"addr\": \"0x3\", \"bit\": 0}",
-        )
-        .unwrap();
-        assert!(fault_from_json(&j).unwrap_err().contains("aligned"));
-        let j = parse_json("{\"at\": 1, \"core\": 0, \"kind\": \"nope\"}").unwrap();
-        assert!(fault_from_json(&j)
-            .unwrap_err()
-            .contains("unknown fault kind"));
+        // Malformed inputs get messages naming the field, not panics.
+        let bad = [
+            (
+                r#"{"at": 1, "core": 0, "kind": "mem", "addr": "0x3", "bit": 0}"#,
+                "addr: 0x3 is not word-aligned",
+            ),
+            (
+                r#"{"at": 1, "core": 0, "kind": "nope"}"#,
+                r#"kind: "nope" is not one of reg|pc|mem|burst|stuck|crash"#,
+            ),
+            (
+                r#"{"at": 1, "core": 0, "kind": "pc", "bit": 300}"#,
+                "bit: 300 out of range for u8",
+            ),
+            (
+                r#"{"at": 1, "core": 0, "kind": "pc", "bit": 4}"#,
+                "bit: 4 out of range (limit 4)",
+            ),
+            (
+                r#"{"at": 1, "core": 2, "kind": "crash"}"#,
+                "core: 2 out of range (limit 2)",
+            ),
+            (
+                r#"{"at": 1, "core": 0, "kind": "reg", "reg": 32, "bit": 0}"#,
+                "reg: 32 out of range (limit 32)",
+            ),
+            (
+                r#"{"at": 1, "core": 0, "kind": "burst", "addr": "0x8", "bit": 0, "span": 9}"#,
+                "span: 9 outside 2..=8",
+            ),
+            (
+                r#"{"at": 1, "core": 0, "kind": "stuck", "addr": "0x8", "bit": 0}"#,
+                "stuck_one: missing",
+            ),
+            (
+                r#"{"at": 1, "core": 0, "kind": "crash", "bit": 0}"#,
+                "bit: unknown field",
+            ),
+        ];
+        for (text, want) in bad {
+            assert_eq!(decode(text).unwrap_err(), want, "{text}");
+        }
     }
 
     #[test]

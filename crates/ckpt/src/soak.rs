@@ -22,7 +22,7 @@
 use std::fmt::Write as _;
 
 use acr_sim::{FaultKindSet, FaultStorm};
-use acr_trace::{parse_json, push_json_string, Fnv1a, Json, MetricsRegistry};
+use acr_trace::{push_json_string, read_document, Fnv1a, JsonError, MetricsRegistry};
 
 use crate::inject::{CampaignConfig, CampaignError, CampaignReport};
 use crate::postmortem::PostmortemBundle;
@@ -332,79 +332,74 @@ impl SoakCursor {
         o
     }
 
-    /// Parses and validates a cursor against `grid`: schema, fingerprint
-    /// and cell keys must all match, or the cursor belongs to a different
-    /// soak and resuming from it would splice two unrelated streams.
+    /// Decodes a cursor rendered by [`SoakCursor::to_json`]. Whether it
+    /// belongs to a grid is [`SoakCursor::check_grid`]'s question.
+    ///
+    /// # Errors
+    ///
+    /// A [`JsonError`] naming the first bad field.
+    pub fn from_json(text: &str) -> Result<SoakCursor, JsonError> {
+        read_document(text, SOAK_CURSOR_SCHEMA, |o| {
+            Ok(SoakCursor {
+                seed: o.field("seed")?.hex(0)?,
+                chunk_cases: o.field("chunk_cases")?.uint()?,
+                fingerprint: o.field("fingerprint")?.hex(16)?,
+                chunks_done: o.field("chunks_done")?.uint()?,
+                cells: o
+                    .field("cells")?
+                    .items()?
+                    .iter()
+                    .map(|c| {
+                        c.object(|c| {
+                            Ok(SoakCell {
+                                key: c.field("key")?.str()?.to_owned(),
+                                cases: c.field("cases")?.uint()?,
+                                recovered: c.field("recovered")?.uint()?,
+                                due: c.field("due")?.uint()?,
+                                sdc: c.field("sdc")?.uint()?,
+                                hang: c.field("hang")?.uint()?,
+                                hash_chain: c.field("hash_chain")?.hex(16)?,
+                            })
+                        })
+                    })
+                    .collect::<Result<_, _>>()?,
+            })
+        })
+    }
+
+    /// Checks that this cursor belongs to `grid`: fingerprint and cell
+    /// keys must match, or resuming from it would splice two unrelated
+    /// streams.
     ///
     /// # Errors
     ///
     /// Returns a message naming the first mismatch.
-    pub fn parse(text: &str, grid: &SoakGrid) -> Result<SoakCursor, String> {
-        let j = parse_json(text)?;
-        let schema = j.get("schema").and_then(Json::as_str).unwrap_or("");
-        if schema != SOAK_CURSOR_SCHEMA {
+    pub fn check_grid(&self, grid: &SoakGrid) -> Result<(), String> {
+        if self.fingerprint != grid.fingerprint() {
             return Err(format!(
-                "unknown cursor schema `{schema}` (expected {SOAK_CURSOR_SCHEMA})"
-            ));
-        }
-        let hex = |j: &Json, key: &str| -> Result<u64, String> {
-            let s = j
-                .get(key)
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("cursor field `{key}` missing"))?;
-            u64::from_str_radix(s.trim_start_matches("0x"), 16)
-                .map_err(|e| format!("cursor field `{key}`: {e}"))
-        };
-        let num = |j: &Json, key: &str| -> Result<u64, String> {
-            j.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("cursor field `{key}` missing"))
-        };
-        let fingerprint = hex(&j, "fingerprint")?;
-        if fingerprint != grid.fingerprint() {
-            return Err(format!(
-                "cursor fingerprint {fingerprint:#018x} does not match this \
+                "cursor fingerprint {:#018x} does not match this \
                  grid ({:#018x}) — workloads, models or presets changed",
+                self.fingerprint,
                 grid.fingerprint()
             ));
         }
-        let cells_json = j
-            .get("cells")
-            .and_then(Json::as_arr)
-            .ok_or("cursor field `cells` missing")?;
-        if cells_json.len() != grid.combos.len() {
+        if self.cells.len() != grid.combos.len() {
             return Err(format!(
                 "cursor has {} cells, grid has {} combos",
-                cells_json.len(),
+                self.cells.len(),
                 grid.combos.len()
             ));
         }
-        let mut cells = Vec::with_capacity(cells_json.len());
-        for (c, combo) in cells_json.iter().zip(&grid.combos) {
-            let key = c.get("key").and_then(Json::as_str).unwrap_or("");
-            if key != combo.key() {
+        for (c, combo) in self.cells.iter().zip(&grid.combos) {
+            if c.key != combo.key() {
                 return Err(format!(
-                    "cursor cell `{key}` does not match grid combo `{}`",
+                    "cursor cell `{}` does not match grid combo `{}`",
+                    c.key,
                     combo.key()
                 ));
             }
-            cells.push(SoakCell {
-                key: key.to_string(),
-                cases: num(c, "cases")?,
-                recovered: num(c, "recovered")?,
-                due: num(c, "due")?,
-                sdc: num(c, "sdc")?,
-                hang: num(c, "hang")?,
-                hash_chain: hex(c, "hash_chain")?,
-            });
         }
-        Ok(SoakCursor {
-            seed: hex(&j, "seed")?,
-            chunk_cases: num(&j, "chunk_cases")? as u32,
-            fingerprint,
-            chunks_done: num(&j, "chunks_done")?,
-            cells,
-        })
+        Ok(())
     }
 }
 
@@ -489,7 +484,7 @@ where
     assert_eq!(
         cursor.fingerprint,
         grid.fingerprint(),
-        "cursor does not belong to this grid (validate with SoakCursor::parse)"
+        "cursor does not belong to this grid (validate with SoakCursor::check_grid)"
     );
     let mut metrics = MetricsRegistry::new();
     let mut postmortems = Vec::new();
@@ -654,7 +649,8 @@ mod tests {
 
         let first = drive(SoakCursor::new(&g, 7, 4), 3);
         // Round-trip through the serialized cursor, as a real resume does.
-        let parsed = SoakCursor::parse(&first.cursor.to_json(), &g).expect("cursor parses");
+        let parsed = SoakCursor::from_json(&first.cursor.to_json()).expect("cursor parses");
+        parsed.check_grid(&g).expect("cursor belongs to the grid");
         assert_eq!(parsed, first.cursor);
         let second = drive(parsed, 3);
 
@@ -684,9 +680,9 @@ mod tests {
             &default_models()[..1],
             &default_resilience()[..1],
         );
-        let err = SoakCursor::parse(&cursor.to_json(), &other).unwrap_err();
+        let err = cursor.check_grid(&other).unwrap_err();
         assert!(err.contains("fingerprint"), "{err}");
-        let err = SoakCursor::parse("{}", &g).unwrap_err();
-        assert!(err.contains("schema"), "{err}");
+        let err = SoakCursor::from_json("{}").unwrap_err();
+        assert_eq!(err.to_string(), "schema: missing");
     }
 }

@@ -60,12 +60,6 @@ impl ThreadCode {
     pub fn instrs(&self) -> &[Instr] {
         &self.instrs
     }
-
-    /// Mutable access for instrumentation passes (`acr-slicer`).
-    #[inline]
-    pub fn instrs_mut(&mut self) -> &mut Vec<Instr> {
-        &mut self.instrs
-    }
 }
 
 /// A complete multithreaded program: one instruction stream per thread and
@@ -279,12 +273,6 @@ impl Program {
         &self.threads[t as usize]
     }
 
-    /// Mutable thread access for instrumentation passes.
-    #[inline]
-    pub fn thread_mut(&mut self, t: u32) -> &mut ThreadCode {
-        &mut self.threads[t as usize]
-    }
-
     /// All thread streams.
     #[inline]
     pub fn threads(&self) -> &[ThreadCode] {
@@ -308,12 +296,6 @@ impl Program {
         let id = SliceId(self.slices.len() as u32);
         self.slices.push(slice);
         id
-    }
-
-    /// Replaces the entire slice table (used when re-instrumenting at a
-    /// different threshold).
-    pub fn set_slices(&mut self, slices: Vec<Slice>) {
-        self.slices = slices;
     }
 
     /// Size of the data memory image the program expects, in bytes.

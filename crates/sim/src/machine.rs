@@ -502,11 +502,6 @@ impl<'p> Machine<'p> {
         !self.stuck.is_empty()
     }
 
-    /// The armed stuck-at cells.
-    pub fn stuck_cells(&self) -> &[crate::StuckCell] {
-        &self.stuck
-    }
-
     /// Re-asserts every armed stuck-at cell onto the functional memory
     /// image, returning how many words the pins actually changed. Called
     /// by the engine between run segments so a pinned cell re-corrupts

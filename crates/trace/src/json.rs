@@ -1,8 +1,10 @@
-//! A minimal JSON parser (no external dependencies) plus a Chrome
-//! `trace_event` validator — the round-trip half of the exporter tests and
-//! the CI trace check.
+//! A minimal JSON parser (no external dependencies), the strict field
+//! reader every document type decodes through, and a Chrome `trace_event`
+//! validator — the round-trip half of the exporter tests and the CI trace
+//! check.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -11,8 +13,10 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (held as `f64`; every number this repo emits is an
-    /// integer well inside `f64`'s exact range).
+    /// A non-negative integer literal in canonical form (`0`, or digits
+    /// without a leading zero) that fits a `u64`, held exactly.
+    Int(u64),
+    /// Any other number, held as `f64`.
     Num(f64),
     /// A string.
     Str(String),
@@ -50,6 +54,9 @@ impl Json {
     /// The numeric value, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            // `as` rounds to nearest like the decimal parse does, so every
+            // literal reads as the same `f64` either way.
+            Json::Int(n) => Some(*n as f64),
             Json::Num(n) => Some(*n),
             _ => None,
         }
@@ -58,6 +65,7 @@ impl Json {
     /// The numeric value as `u64`, if this is a non-negative integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
+            Json::Int(n) => Some(*n),
             Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
                 Some(*n as u64)
             }
@@ -257,6 +265,11 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let canonical =
+            text.bytes().all(|b| b.is_ascii_digit()) && (text == "0" || !text.starts_with('0'));
+        if let Some(n) = canonical.then(|| text.parse::<u64>().ok()).flatten() {
+            return Ok(Json::Int(n));
+        }
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("bad number"))
@@ -280,6 +293,268 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
         return Err(p.err("trailing garbage"));
     }
     Ok(v)
+}
+
+/// Why a document did not decode: the path of the offending field (for
+/// example `faults[0].bit`; empty for the document as a whole) and what
+/// is wrong with it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JsonError {
+    /// Field path: object keys joined by `.`, array indices in brackets.
+    pub path: String,
+    /// What is wrong with the field.
+    pub msg: String,
+}
+
+impl fmt::Display for JsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.path.is_empty() {
+            f.write_str(&self.msg)
+        } else {
+            write!(f, "{}: {}", self.path, self.msg)
+        }
+    }
+}
+
+impl std::error::Error for JsonError {}
+
+/// A short rendering of a value for error messages.
+fn describe(v: &Json) -> String {
+    match v {
+        Json::Null => "null".to_owned(),
+        Json::Bool(b) => b.to_string(),
+        Json::Int(n) => n.to_string(),
+        Json::Num(x) => format!("{x:?}"),
+        Json::Str(s) => format!("{s:?}"),
+        Json::Arr(_) => "an array".to_owned(),
+        Json::Obj(_) => "an object".to_owned(),
+    }
+}
+
+/// One value of a document under decode, with the path that names it in
+/// errors. The typed accessors accept exactly what the workspace's
+/// writers emit, so a decoded value re-renders to the same JSON value:
+/// integers are exact canonical literals, hex strings are lowercase at
+/// the writer's width, decimals are in `f64`'s shortest display form, and
+/// objects read through [`Field::object`] reject duplicate and unread
+/// keys.
+#[derive(Debug, Clone)]
+pub struct Field<'a> {
+    value: &'a Json,
+    path: String,
+}
+
+impl<'a> Field<'a> {
+    /// The whole document.
+    pub fn root(value: &'a Json) -> Self {
+        Field {
+            value,
+            path: String::new(),
+        }
+    }
+
+    /// The raw value.
+    pub fn value(&self) -> &'a Json {
+        self.value
+    }
+
+    /// An error about this field.
+    pub fn err(&self, msg: impl Into<String>) -> JsonError {
+        JsonError {
+            path: self.path.clone(),
+            msg: msg.into(),
+        }
+    }
+
+    fn expected(&self, what: &str) -> JsonError {
+        self.err(format!("expected {what}, found {}", describe(self.value)))
+    }
+
+    /// A string.
+    pub fn str(&self) -> Result<&'a str, JsonError> {
+        self.value.as_str().ok_or_else(|| self.expected("a string"))
+    }
+
+    /// `true` or `false`.
+    pub fn bool(&self) -> Result<bool, JsonError> {
+        match self.value {
+            Json::Bool(b) => Ok(*b),
+            _ => Err(self.expected("true or false")),
+        }
+    }
+
+    /// An exact non-negative integer, narrowed to `T`.
+    pub fn uint<T: TryFrom<u64>>(&self) -> Result<T, JsonError> {
+        match self.value {
+            Json::Int(n) => T::try_from(*n).map_err(|_| {
+                self.err(format!(
+                    "{n} out of range for {}",
+                    std::any::type_name::<T>()
+                ))
+            }),
+            _ => Err(self.expected("a non-negative integer")),
+        }
+    }
+
+    /// A `u64` written as a lowercase `0x…` string of exactly `digits` hex
+    /// digits, or of the fewest digits when `digits` is 0.
+    pub fn hex(&self, digits: usize) -> Result<u64, JsonError> {
+        let s = self.str()?;
+        let v = s
+            .strip_prefix("0x")
+            .filter(|h| !h.is_empty() && h.bytes().all(|b| b.is_ascii_hexdigit()))
+            .and_then(|h| u64::from_str_radix(h, 16).ok());
+        match v {
+            Some(v) if format!("{v:#0w$x}", w = digits + 2) == s => Ok(v),
+            _ => Err(self.expected("a canonical lowercase 0x hex string")),
+        }
+    }
+
+    /// A finite `f64` written as a string in its shortest display form
+    /// (`"0.5"`, `"1"`).
+    pub fn decimal(&self) -> Result<f64, JsonError> {
+        let s = self.str()?;
+        match s.parse::<f64>() {
+            Ok(v) if v.is_finite() && v.to_string() == s => Ok(v),
+            _ => Err(self.expected("a canonical decimal string")),
+        }
+    }
+
+    /// A string from a fixed label set, returned as the set's own
+    /// `'static` label.
+    pub fn label(
+        &self,
+        set: impl IntoIterator<Item = &'static str>,
+    ) -> Result<&'static str, JsonError> {
+        let s = self.str()?;
+        let set: Vec<&'static str> = set.into_iter().collect();
+        set.iter()
+            .find(|l| **l == s)
+            .copied()
+            .ok_or_else(|| self.err(format!("{s:?} is not one of {}", set.join("|"))))
+    }
+
+    /// `None` for `null`, the field itself otherwise.
+    pub fn nullable(self) -> Option<Self> {
+        (*self.value != Json::Null).then_some(self)
+    }
+
+    /// The elements of an array, each with its indexed path.
+    pub fn items(&self) -> Result<Vec<Field<'a>>, JsonError> {
+        let items = self
+            .value
+            .as_arr()
+            .ok_or_else(|| self.expected("an array"))?;
+        Ok(items
+            .iter()
+            .enumerate()
+            .map(|(i, value)| Field {
+                value,
+                path: format!("{}[{i}]", self.path),
+            })
+            .collect())
+    }
+
+    /// Decodes an object through `body`, then rejects every key `body`
+    /// did not read. Duplicate keys are rejected up front.
+    pub fn object<T>(
+        &self,
+        body: impl FnOnce(&mut ObjReader<'a>) -> Result<T, JsonError>,
+    ) -> Result<T, JsonError> {
+        let Json::Obj(members) = self.value else {
+            return Err(self.expected("an object"));
+        };
+        let mut seen = BTreeSet::new();
+        let mut r = ObjReader {
+            members,
+            path: self.path.clone(),
+            read: vec![false; members.len()],
+        };
+        if let Some((k, _)) = members.iter().find(|(k, _)| !seen.insert(k.as_str())) {
+            return Err(r.child(k, &Json::Null).err("duplicate key"));
+        }
+        let v = body(&mut r)?;
+        match r.read.iter().position(|read| !read) {
+            Some(i) => Err(r.child(&members[i].0, &Json::Null).err("unknown field")),
+            None => Ok(v),
+        }
+    }
+}
+
+/// The members of one object under decode (see [`Field::object`]).
+#[derive(Debug)]
+pub struct ObjReader<'a> {
+    members: &'a [(String, Json)],
+    path: String,
+    read: Vec<bool>,
+}
+
+impl<'a> ObjReader<'a> {
+    fn child<'v>(&self, key: &str, value: &'v Json) -> Field<'v> {
+        Field {
+            value,
+            path: if self.path.is_empty() {
+                key.to_owned()
+            } else {
+                format!("{}.{key}", self.path)
+            },
+        }
+    }
+
+    /// An optional member, marked read.
+    pub fn opt(&mut self, key: &str) -> Option<Field<'a>> {
+        let i = self.members.iter().position(|(k, _)| k == key)?;
+        self.read[i] = true;
+        Some(self.child(key, &self.members[i].1))
+    }
+
+    /// A required member, marked read.
+    pub fn field(&mut self, key: &str) -> Result<Field<'a>, JsonError> {
+        self.opt(key)
+            .ok_or_else(|| self.child(key, &Json::Null).err("missing"))
+    }
+
+    /// Every member not read yet, in document order, all marked read —
+    /// for objects used as ordered maps.
+    pub fn rest(&mut self) -> Vec<(&'a str, Field<'a>)> {
+        let members = self.members;
+        let mut out = Vec::new();
+        for (i, (k, v)) in members.iter().enumerate() {
+            if !std::mem::replace(&mut self.read[i], true) {
+                out.push((k.as_str(), self.child(k, v)));
+            }
+        }
+        out
+    }
+}
+
+/// Decodes one schema-tagged document: parses `text`, requires its
+/// `schema` member to be `schema`, reads the other members through
+/// `body`, and rejects any member `body` left unread.
+///
+/// # Errors
+///
+/// A syntax error (empty path) or the first field that is missing,
+/// mistyped, out of range, non-canonical, duplicated or unknown.
+pub fn read_document<T>(
+    text: &str,
+    schema: &str,
+    body: impl FnOnce(&mut ObjReader<'_>) -> Result<T, JsonError>,
+) -> Result<T, JsonError> {
+    let doc = parse_json(text).map_err(|msg| JsonError {
+        path: String::new(),
+        msg,
+    })?;
+    Field::root(&doc).object(|o| {
+        let tag = o.field("schema")?;
+        if tag.str()? != schema {
+            return Err(tag.err(format!(
+                "unsupported {} (want {schema:?})",
+                describe(tag.value)
+            )));
+        }
+        body(o)
+    })
 }
 
 /// What [`validate_chrome_trace`] found in a well-formed trace.

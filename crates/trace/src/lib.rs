@@ -71,7 +71,10 @@ pub use event::{
 };
 pub use hash::{fnv1a, Fnv1a, FNV_OFFSET, FNV_PRIME};
 pub use hist::{Histogram, NUM_BUCKETS, SUB_BITS};
-pub use json::{parse_json, validate_chrome_trace, ChromeSummary, Json};
+pub use json::{
+    parse_json, read_document, validate_chrome_trace, ChromeSummary, Field, Json, JsonError,
+    ObjReader,
+};
 pub use manifest::{
     diff_manifests, median, BenchStats, DiffOptions, DiffReport, Manifest, MANIFEST_SCHEMA,
 };

@@ -18,13 +18,13 @@
 //!   `acr_cli bench` (median / MAD / min over reps).
 //!
 //! Serialisation uses this crate's own JSON exporter conventions and
-//! [`crate::parse_json`] for the reverse direction — no external
+//! [`crate::read_document`] for the reverse direction — no external
 //! dependencies. Hash values are rendered as `0x…` hex *strings*, not JSON
 //! numbers, because a `u64` hash does not survive the round trip through
 //! an `f64` intact.
 
 use crate::chrome::push_json_string;
-use crate::json::{parse_json, Json};
+use crate::json::{read_document, Field, JsonError};
 use crate::perf::WorkerLoad;
 
 /// Manifest schema identifier (bump on breaking layout changes).
@@ -182,75 +182,71 @@ impl Manifest {
         out
     }
 
-    /// Parses a manifest produced by [`Manifest::to_json`] (key order is
-    /// preserved, so parse-then-render round-trips).
+    /// Decodes a manifest rendered by [`Manifest::to_json`] (key order is
+    /// kept, so decode-then-render round-trips). `bench.reps` must equal
+    /// the number of `wall_ns` samples it summarises.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the first missing or malformed field.
-    pub fn parse(text: &str) -> Result<Manifest, String> {
-        let doc = parse_json(text)?;
-        let schema = doc
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("manifest: missing `schema`")?;
-        if schema != MANIFEST_SCHEMA {
-            return Err(format!(
-                "manifest: unsupported schema `{schema}` (want `{MANIFEST_SCHEMA}`)"
-            ));
-        }
-        let command = doc
-            .get("command")
-            .and_then(Json::as_str)
-            .ok_or("manifest: missing `command`")?
-            .to_owned();
-        let config = str_pairs(doc.get("config").ok_or("manifest: missing `config`")?)?;
-        let sim = doc.get("sim").ok_or("manifest: missing `sim`")?;
-        let mut sim_hashes = Vec::new();
-        if let Some(Json::Obj(members)) = sim.get("hashes") {
-            for (k, v) in members {
-                sim_hashes.push((k.clone(), parse_hex(k, v)?));
-            }
-        } else {
-            return Err("manifest: missing `sim.hashes`".into());
-        }
-        let metrics_digest = parse_hex(
-            "metrics_digest",
-            sim.get("metrics_digest")
-                .ok_or("manifest: missing `sim.metrics_digest`")?,
-        )?;
-        let host = u64_pairs(doc.get("host").ok_or("manifest: missing `host`")?)?;
-        let bench = match doc.get("bench") {
-            None => None,
-            Some(b) => {
-                let field = |k: &str| -> Result<u64, String> {
-                    b.get(k)
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| format!("manifest: missing `bench.{k}`"))
-                };
-                let wall_ns = b
-                    .get("wall_ns")
-                    .and_then(Json::as_arr)
-                    .ok_or("manifest: missing `bench.wall_ns`")?
-                    .iter()
-                    .map(|v| v.as_u64().ok_or("manifest: bad `bench.wall_ns` entry"))
-                    .collect::<Result<Vec<u64>, _>>()?;
-                Some(BenchStats {
-                    warmup: field("warmup")?,
-                    wall_ns,
-                    median_ns: field("median_ns")?,
-                    mad_ns: field("mad_ns")?,
-                    min_ns: field("min_ns")?,
-                })
-            }
-        };
-        Ok(Manifest {
-            command,
-            config,
-            sim_hashes,
-            metrics_digest,
-            host,
-            bench,
+    /// A [`JsonError`] naming the first bad field.
+    pub fn from_json(text: &str) -> Result<Manifest, JsonError> {
+        read_document(text, MANIFEST_SCHEMA, |o| {
+            let command = o.field("command")?.str()?.to_owned();
+            let config = o.field("config")?.object(|c| {
+                c.rest()
+                    .into_iter()
+                    .map(|(k, v)| Ok((k.to_owned(), v.str()?.to_owned())))
+                    .collect()
+            })?;
+            let (sim_hashes, metrics_digest) = o.field("sim")?.object(|sim| {
+                let hashes = sim.field("hashes")?.object(|h| {
+                    h.rest()
+                        .into_iter()
+                        .map(|(k, v)| Ok((k.to_owned(), v.hex(16)?)))
+                        .collect()
+                })?;
+                Ok((hashes, sim.field("metrics_digest")?.hex(16)?))
+            })?;
+            let host = o.field("host")?.object(|h| {
+                h.rest()
+                    .into_iter()
+                    .map(|(k, v)| Ok((k.to_owned(), v.uint()?)))
+                    .collect()
+            })?;
+            let bench = match o.opt("bench") {
+                None => None,
+                Some(b) => Some(b.object(|b| {
+                    let reps = b.field("reps")?;
+                    let stats = BenchStats {
+                        warmup: b.field("warmup")?.uint()?,
+                        wall_ns: b
+                            .field("wall_ns")?
+                            .items()?
+                            .iter()
+                            .map(Field::uint)
+                            .collect::<Result<_, _>>()?,
+                        median_ns: b.field("median_ns")?.uint()?,
+                        mad_ns: b.field("mad_ns")?.uint()?,
+                        min_ns: b.field("min_ns")?.uint()?,
+                    };
+                    let n: u64 = reps.uint()?;
+                    if n != stats.reps() {
+                        return Err(reps.err(format!(
+                            "{n} does not match the {} wall_ns samples",
+                            stats.reps()
+                        )));
+                    }
+                    Ok(stats)
+                })?),
+            };
+            Ok(Manifest {
+                command,
+                config,
+                sim_hashes,
+                metrics_digest,
+                host,
+                bench,
+            })
         })
     }
 
@@ -278,42 +274,6 @@ impl Manifest {
         }
         out
     }
-}
-
-fn str_pairs(v: &Json) -> Result<Vec<(String, String)>, String> {
-    match v {
-        Json::Obj(members) => members
-            .iter()
-            .map(|(k, v)| {
-                v.as_str()
-                    .map(|s| (k.clone(), s.to_owned()))
-                    .ok_or_else(|| format!("manifest: `{k}` must be a string"))
-            })
-            .collect(),
-        _ => Err("manifest: expected an object of strings".into()),
-    }
-}
-
-fn u64_pairs(v: &Json) -> Result<Vec<(String, u64)>, String> {
-    match v {
-        Json::Obj(members) => members
-            .iter()
-            .map(|(k, v)| {
-                v.as_u64()
-                    .map(|n| (k.clone(), n))
-                    .ok_or_else(|| format!("manifest: `{k}` must be a non-negative integer"))
-            })
-            .collect(),
-        _ => Err("manifest: expected an object of integers".into()),
-    }
-}
-
-fn parse_hex(key: &str, v: &Json) -> Result<u64, String> {
-    let s = v
-        .as_str()
-        .ok_or_else(|| format!("manifest: hash `{key}` must be a hex string"))?;
-    u64::from_str_radix(s.trim_start_matches("0x"), 16)
-        .map_err(|e| format!("manifest: hash `{key}`: {e}"))
 }
 
 /// How [`diff_manifests`] compares two manifests.
@@ -584,7 +544,7 @@ mod tests {
     fn json_round_trips_exactly() {
         let m = sample();
         let json = m.to_json();
-        let back = Manifest::parse(&json).expect("parses");
+        let back = Manifest::from_json(&json).expect("parses");
         assert_eq!(back, m);
         // Render → parse → render is a fixed point.
         assert_eq!(back.to_json(), json);

@@ -56,11 +56,6 @@ impl Stopwatch {
     pub fn elapsed_ns(&self) -> u64 {
         u64::try_from(self.0.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
-
-    /// Seconds elapsed since start.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.0.elapsed().as_secs_f64()
-    }
 }
 
 /// Peak resident set size of the current process in bytes, read from

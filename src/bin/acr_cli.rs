@@ -37,16 +37,15 @@ use acr::{
 };
 use acr_bench::{FigureTask, FIGURE_TASKS, PAPER_FIGURES};
 use acr_ckpt::{
-    default_models, default_resilience, fault_from_json, fault_to_json, run_soak, CampaignConfig,
-    CampaignError, CaseOutcome, CkptError, OmitReason, ParallelRunner, Scheme, SecondaryStorage,
-    ShrinkConfig, SoakCursor, SoakGrid, SoakModel, SoakResilience, POSTMORTEM_SCHEMA, REPRO_SCHEMA,
+    default_models, default_resilience, fault_to_json, run_soak, CampaignConfig, CampaignError,
+    CaseOutcome, CkptError, OmitReason, ParallelRunner, PostmortemBundle, ReproDoc, RingDigest,
+    Scheme, SecondaryStorage, ShrinkConfig, SoakCursor, SoakGrid, SoakModel, SoakResilience,
 };
 use acr_mem::CoreId;
 use acr_sim::{Fault, FaultKind, FaultKindSet, FaultStorm};
 use acr_trace::{
-    chrome_trace_json, diff_manifests, fnv1a, merge_loads, parse_json, BenchStats, DiffOptions,
-    Fnv1a, HostPerf, Json, Manifest, MetricsRegistry, Stopwatch, TraceEvent, WorkerLoad,
-    TRACK_ENGINE,
+    chrome_trace_json, diff_manifests, fnv1a, merge_loads, BenchStats, DiffOptions, Fnv1a,
+    HostPerf, Manifest, MetricsRegistry, Stopwatch, TraceEvent, WorkerLoad, TRACK_ENGINE,
 };
 use acr_workloads::{generate, Benchmark, WorkloadConfig};
 
@@ -1539,7 +1538,9 @@ fn soak(a: &RunArgs) -> Result<ExitCode, String> {
     let cursor = match &a.cursor {
         Some(path) if std::path::Path::new(path).exists() => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            let c = SoakCursor::parse(&text, &grid).map_err(|e| format!("--cursor {path}: {e}"))?;
+            let c = SoakCursor::from_json(&text).map_err(|e| format!("--cursor {path}: {e}"))?;
+            c.check_grid(&grid)
+                .map_err(|e| format!("--cursor {path}: {e}"))?;
             if c.seed != a.seed {
                 return Err(format!(
                     "--cursor {path}: cursor seed {:#x} != --seed {:#x}; a resumed \
@@ -1669,109 +1670,29 @@ fn experiment(bench: Benchmark, threads: u32, scale: f64) -> Result<Experiment, 
     .map_err(|e| format!("{}: {e}", bench.name()))
 }
 
-/// The `acr.repro.v1` document: everything `--replay` needs to rebuild
-/// the exact engine configuration, plus the minimal fault plan. Fractions
-/// are serialized as strings (the JSON layer is `f64`-backed and the
-/// round-trip must be exact); big `u64`s as hex strings.
-fn repro_doc(a: &RunArgs, workload: Benchmark, out: &acr_ckpt::ShrinkOutcome) -> String {
-    let mut o = String::from("{\n  \"schema\": ");
-    acr_trace::push_json_string(&mut o, REPRO_SCHEMA);
-    let _ = write!(o, ",\n  \"workload\": \"{}\"", workload.name());
-    let _ = write!(o, ",\n  \"case\": {}", a.case);
-    let _ = write!(o, ",\n  \"seed\": \"{:#x}\"", a.seed);
-    let _ = write!(o, ",\n  \"threads\": {}", a.threads);
-    let _ = write!(o, ",\n  \"scale\": \"{}\"", a.scale);
-    let _ = write!(o, ",\n  \"checkpoints\": {}", a.checkpoints);
-    let _ = write!(o, ",\n  \"latency\": \"{}\"", a.latency);
-    let _ = write!(
-        o,
-        ",\n  \"policy\": \"{}\"",
-        if a.amnesic { "acr" } else { "baseline" }
-    );
-    let _ = write!(o, ",\n  \"recovery_faults\": {}", a.recovery_faults);
-    let _ = write!(o, ",\n  \"generations\": {}", a.generations);
-    let _ = write!(o, ",\n  \"watchdog_budget\": {}", a.watchdog_budget);
-    let _ = write!(o, ",\n  \"trigger\": \"{}\"", out.failure.trigger);
-    o.push_str(",\n  \"probable_cause\": ");
-    acr_trace::push_json_string(&mut o, &out.failure.bundle.probable_cause);
-    let _ = write!(o, ",\n  \"original_faults\": {}", out.original_faults);
-    o.push_str(",\n  \"faults\": [");
-    for (i, f) in out.minimal.iter().enumerate() {
-        o.push_str(if i == 0 { "\n    " } else { ",\n    " });
-        o.push_str(&fault_to_json(f));
-    }
-    o.push_str("\n  ]\n}\n");
-    o
-}
-
 /// Re-runs a repro document's minimal plan exactly once: exit 1 when the
 /// failure reproduces (same-signature triage can proceed), 0 when it no
 /// longer fails (the repro is stale).
 fn shrink_replay(path: &str) -> Result<ExitCode, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let j = parse_json(&text).map_err(|e| format!("{path}: {e}"))?;
-    let schema = jstr(&j, "schema");
-    if schema != REPRO_SCHEMA {
-        return Err(format!(
-            "{path}: unknown repro schema `{schema}` (expected {REPRO_SCHEMA})"
-        ));
-    }
-    let workload = Benchmark::from_name(jstr(&j, "workload"))
-        .ok_or_else(|| format!("{path}: unknown workload `{}`", jstr(&j, "workload")))?;
-    let frac = |key: &str| -> Result<f64, String> {
-        jstr(&j, key)
-            .parse()
-            .map_err(|e| format!("{path}: field `{key}`: {e}"))
-    };
-    let seed = u64::from_str_radix(jstr(&j, "seed").trim_start_matches("0x"), 16)
-        .map_err(|e| format!("{path}: field `seed`: {e}"))?;
-    let faults = j
-        .get("faults")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{path}: field `faults` missing"))?
-        .iter()
-        .map(fault_from_json)
-        .collect::<Result<Vec<Fault>, String>>()
-        .map_err(|e| format!("{path}: {e}"))?;
-    // `jnum` reads absent fields as 0, so a truncated document would
-    // otherwise ask for a zero-thread experiment (rejected far less
-    // legibly downstream).
-    let threads = jnum(&j, "threads") as u32;
-    if threads == 0 {
-        return Err(format!(
-            "{path}: field `threads` missing or zero (a repro document \
-             describes at least one thread)"
-        ));
-    }
-    let case = jnum(&j, "case") as usize;
-    let cfg = CampaignConfig {
-        seed,
-        count: faults.len().max(1) as u32,
-        num_checkpoints: jnum(&j, "checkpoints") as u32,
-        detection_latency_frac: frac("latency")?,
-        recovery_faults: jbool(&j, "recovery_faults"),
-        generations: (jnum(&j, "generations") as u32).max(1),
-        watchdog_budget_cycles: jnum(&j, "watchdog_budget"),
-        jobs: 1,
-        ..CampaignConfig::default()
-    };
-    let amnesic = jstr(&j, "policy") == "acr";
-    let mut exp = experiment(workload, threads, frac("scale")?)?;
+    let doc = ReproDoc::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
+    let workload = Benchmark::from_name(&doc.workload)
+        .ok_or_else(|| format!("{path}: workload: unknown `{}`", doc.workload))?;
+    let mut exp = experiment(workload, doc.threads, doc.scale)?;
     println!(
         "== replay: {} case {:04}, {} fault(s) ==",
         workload.name(),
-        case,
-        faults.len()
+        doc.case,
+        doc.faults.len()
     );
     match exp
-        .replay_fault_case(&cfg, amnesic, case, &faults)
+        .replay_fault_case(&doc.campaign_config(), doc.amnesic, doc.case, &doc.faults)
         .map_err(|e| e.to_string())?
     {
         Some(failure) => {
             println!(
                 "  reproduced: trigger {} (recorded {})",
-                failure.trigger,
-                jstr(&j, "trigger")
+                failure.trigger, doc.trigger
             );
             println!("  probable cause: {}", failure.bundle.probable_cause);
             Ok(ExitCode::from(1))
@@ -1845,8 +1766,24 @@ fn shrink(a: &RunArgs) -> Result<ExitCode, String> {
         .out
         .clone()
         .unwrap_or_else(|| format!("repro.{}.case{:04}.json", workload.name(), a.case));
-    std::fs::write(&out_path, repro_doc(a, workload, &out))
-        .map_err(|e| format!("{out_path}: {e}"))?;
+    let doc = ReproDoc {
+        workload: workload.name().to_owned(),
+        case: a.case,
+        seed: a.seed,
+        threads: a.threads,
+        scale: a.scale,
+        checkpoints: a.checkpoints,
+        latency: a.latency,
+        amnesic: a.amnesic,
+        recovery_faults: a.recovery_faults,
+        generations: a.generations,
+        watchdog_budget: a.watchdog_budget,
+        trigger: out.failure.trigger,
+        probable_cause: out.failure.bundle.probable_cause,
+        original_faults: out.original_faults,
+        faults: out.minimal,
+    };
+    std::fs::write(&out_path, doc.to_json()).map_err(|e| format!("{out_path}: {e}"))?;
     println!("  repro -> {out_path}");
     println!("  replay: acr_cli shrink --replay {out_path}");
     Ok(ExitCode::SUCCESS)
@@ -2387,7 +2324,7 @@ fn diff(a: &RunArgs) -> Result<ExitCode, String> {
     };
     let read = |path: &str| -> Result<Manifest, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        Manifest::parse(&text).map_err(|e| format!("{path}: {e}"))
+        Manifest::from_json(&text).map_err(|e| format!("{path}: {e}"))
     };
     let report = diff_manifests(&read(base)?, &read(cand)?, &opts);
     print!("{}", report.render());
@@ -2603,197 +2540,120 @@ fn figures(a: &RunArgs) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Object member as a string (`"?"` for absent or mistyped keys — the
-/// renderer degrades instead of erroring on a hand-edited bundle).
-fn jstr<'a>(j: &'a Json, key: &str) -> &'a str {
-    j.get(key).and_then(Json::as_str).unwrap_or("?")
-}
-
-/// Object member as an unsigned integer (0 when absent).
-fn jnum(j: &Json, key: &str) -> u64 {
-    j.get(key).and_then(Json::as_u64).unwrap_or(0)
-}
-
-/// Object member as a bool (false when absent).
-fn jbool(j: &Json, key: &str) -> bool {
-    matches!(j.get(key), Some(Json::Bool(true)))
-}
-
 /// Merged flight-recorder timeline lines. Within-ring order is already
 /// chronological, so the stable sort by `(cycle, track)` interleaves the
 /// rings without reordering equal-cycle events of one core.
-fn explain_timeline(rings: &[Json]) -> (Vec<String>, u64) {
-    let mut dropped = 0u64;
-    let mut events: Vec<(u64, u64, String)> = Vec::new();
-    for ring in rings {
-        dropped += jnum(ring, "dropped");
-        for ev in ring
-            .get("events")
-            .and_then(Json::as_arr)
-            .unwrap_or_default()
-        {
-            let (cycle, track) = (jnum(ev, "cycle"), jnum(ev, "track"));
-            let mut line = format!(
-                "[{cycle:>10}] t{track:<4} {} ({}/{})",
-                jstr(ev, "name"),
-                jstr(ev, "cat"),
-                jstr(ev, "kind"),
-            );
-            if jnum(ev, "dur") > 0 {
-                let _ = write!(line, " dur {}", jnum(ev, "dur"));
-            }
-            if let Some(Json::Obj(args)) = ev.get("args") {
-                for (k, v) in args {
-                    let _ = write!(line, " {k}={}", v.as_u64().unwrap_or(0));
-                }
-            }
-            events.push((cycle, track, line));
+fn explain_timeline(rings: &[RingDigest]) -> Vec<String> {
+    let mut events: Vec<(u64, u32, String)> = Vec::new();
+    for ev in rings.iter().flat_map(|r| &r.events) {
+        let mut line = format!(
+            "[{:>10}] t{:<4} {} ({}/{})",
+            ev.cycle, ev.track, ev.name, ev.cat, ev.kind
+        );
+        if ev.dur > 0 {
+            let _ = write!(line, " dur {}", ev.dur);
         }
+        for (k, v) in &ev.args {
+            let _ = write!(line, " {k}={v}");
+        }
+        events.push((ev.cycle, ev.track, line));
     }
     events.sort_by_key(|e| (e.0, e.1));
-    (events.into_iter().map(|(_, _, l)| l).collect(), dropped)
+    events.into_iter().map(|(_, _, l)| l).collect()
 }
 
 /// Renders a postmortem bundle as a human-readable triage report: header,
 /// fault chain, machine digest, invariant tallies, escalation ladder, log
 /// tail, the merged flight-recorder timeline, and the probable-cause
-/// classification. Exits 0 whenever the bundle parses.
+/// classification. A bundle that does not decode is a usage error.
 fn explain(args: &[String]) -> Result<ExitCode, String> {
     let path = match args {
         [p] if !p.starts_with("--") => p.as_str(),
         _ => return Err("explain takes exactly one postmortem bundle path".into()),
     };
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let j = parse_json(&text).map_err(|e| format!("{path}: {e}"))?;
-    let schema = jstr(&j, "schema");
-    if schema != POSTMORTEM_SCHEMA {
-        return Err(format!(
-            "{path}: unknown bundle schema `{schema}` (expected {POSTMORTEM_SCHEMA})"
-        ));
-    }
-
-    let workload = jstr(&j, "workload");
+    let b = PostmortemBundle::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
     println!(
         "== postmortem: {} case {} — {} ==",
-        if workload.is_empty() { "?" } else { workload },
-        jnum(&j, "case"),
-        jstr(&j, "trigger")
+        if b.workload.is_empty() {
+            "?"
+        } else {
+            &b.workload
+        },
+        b.case,
+        b.trigger
     );
+    println!("  seed {}  outcome {}", b.seed, b.outcome);
     println!(
-        "  seed {}  outcome {}",
-        jnum(&j, "seed"),
-        jstr(&j, "outcome")
+        "  fault: {} ({}) on core {}, planned at progress {}, landed at cycle {}",
+        b.fault_kind, b.fault_detail, b.fault_core, b.fault_at_progress, b.landing_cycle
     );
-    if let Some(f) = j.get("fault") {
-        println!(
-            "  fault: {} ({}) on core {}, planned at progress {}, landed at cycle {}",
-            jstr(f, "kind"),
-            jstr(f, "detail"),
-            jnum(f, "core"),
-            jnum(f, "at_progress"),
-            jnum(f, "landing_cycle")
-        );
+    println!("  recovery fault: {}", b.recovery_fault.unwrap_or("none"));
+    println!(
+        "  machine: {} cycles, {} retired, mem fnv {:#018x}",
+        b.cycles, b.final_retired, b.mem_fnv
+    );
+    // A diverged case whose memory and registers match the reference
+    // names the progress condition it failed instead.
+    match &b.failed_condition {
+        Some(cond) => println!("  divergence: {cond}"),
+        None => println!(
+            "  divergence: {} mem, {} reg, {} shadow words",
+            b.mem_divergence, b.reg_divergence, b.shadow_divergence
+        ),
     }
-    match j.get("recovery_fault") {
-        Some(Json::Str(s)) => println!("  recovery fault: {s}"),
-        _ => println!("  recovery fault: none"),
-    }
-    if let Some(m) = j.get("machine") {
+    println!(
+        "  log: {} words logged, {} omitted over the case lifetime",
+        b.lifetime_logged, b.lifetime_omitted
+    );
+    if !b.intervals_tail.is_empty() {
         println!(
-            "  machine: {} cycles, {} retired, mem fnv {}",
-            jnum(m, "cycles"),
-            jnum(m, "final_retired"),
-            jstr(m, "mem_fnv")
+            "  interval tail (last {}, {} earlier dropped):",
+            b.intervals_tail.len(),
+            b.intervals_dropped
         );
-        // A diverged case whose memory and registers match the reference
-        // names the progress condition it failed instead.
-        match m.get("failed_condition") {
-            Some(Json::Str(cond)) => println!("  divergence: {cond}"),
-            _ => println!(
-                "  divergence: {} mem, {} reg, {} shadow words",
-                jnum(m, "mem_divergence"),
-                jnum(m, "reg_divergence"),
-                jnum(m, "shadow_divergence")
-            ),
-        }
-    }
-    if let Some(l) = j.get("log") {
-        println!(
-            "  log: {} words logged, {} omitted over the case lifetime",
-            jnum(l, "lifetime_logged"),
-            jnum(l, "lifetime_omitted")
-        );
-        let tail = l
-            .get("intervals_tail")
-            .and_then(Json::as_arr)
-            .unwrap_or_default();
-        if !tail.is_empty() {
+        for iv in &b.intervals_tail {
             println!(
-                "  interval tail (last {}, {} earlier dropped):",
-                tail.len(),
-                jnum(l, "intervals_dropped")
-            );
-            for iv in tail {
-                println!(
-                    "    epoch {:>4}: progress {} records {} omitted {} bytes {} stall {}",
-                    jnum(iv, "epoch"),
-                    jnum(iv, "progress"),
-                    jnum(iv, "records"),
-                    jnum(iv, "omitted"),
-                    jnum(iv, "bytes"),
-                    jnum(iv, "stall_cycles")
-                );
-            }
-        }
-    }
-    if let Some(inv) = j.get("invariants") {
-        println!("  invariants: {} breaches", jnum(inv, "breaches"));
-        if let Some(Json::Obj(monitors)) = inv.get("monitors") {
-            for (name, m) in monitors {
-                println!(
-                    "    {name:<24} {} checks, {} breaches",
-                    jnum(m, "checks"),
-                    jnum(m, "breaches")
-                );
-            }
-        }
-        if let Some(fb) = inv.get("first_breach") {
-            if !matches!(fb, Json::Null) {
-                println!(
-                    "    first breach: {} at epoch {} cycle {}: {}",
-                    jstr(fb, "monitor"),
-                    jnum(fb, "epoch"),
-                    jnum(fb, "cycle"),
-                    jstr(fb, "detail")
-                );
-            }
-        }
-    }
-    if let Some(esc) = j.get("escalation") {
-        let steps = esc.get("steps").and_then(Json::as_arr).unwrap_or_default();
-        println!(
-            "  escalation: {} recoveries, {} ladder exhaustions",
-            steps.len(),
-            jnum(esc, "exhausted")
-        );
-        for s in steps {
-            println!(
-                "    detected at cycle {}: safe epoch {}, {} re-replays, \
-                 {} generation fallbacks, degraded {}",
-                jnum(s, "detected_at_cycles"),
-                jnum(s, "safe_epoch"),
-                jnum(s, "replay_retries"),
-                jnum(s, "generation_fallbacks"),
-                jbool(s, "degraded_entered")
+                "    epoch {:>4}: progress {} records {} omitted {} bytes {} stall {}",
+                iv.epoch, iv.progress, iv.records, iv.omitted, iv.bytes, iv.stall_cycles
             );
         }
     }
-    let rings = j.get("rings").and_then(Json::as_arr).unwrap_or_default();
-    if rings.is_empty() {
+    println!("  invariants: {} breaches", b.invariants.total_breaches());
+    for (name, c) in b.invariants.monitors() {
+        println!(
+            "    {name:<24} {} checks, {} breaches",
+            c.checks, c.breaches
+        );
+    }
+    if let Some(fb) = &b.invariants.first_breach {
+        println!(
+            "    first breach: {} at epoch {} cycle {}: {}",
+            fb.monitor, fb.epoch, fb.cycle, fb.detail
+        );
+    }
+    println!(
+        "  escalation: {} recoveries, {} ladder exhaustions",
+        b.escalation.len(),
+        b.escalation_exhausted
+    );
+    for s in &b.escalation {
+        println!(
+            "    detected at cycle {}: safe epoch {}, {} re-replays, \
+             {} generation fallbacks, degraded {}",
+            s.detected_at_cycles,
+            s.safe_epoch,
+            s.replay_retries,
+            s.generation_fallbacks,
+            s.degraded_entered
+        );
+    }
+    if b.rings.is_empty() {
         println!("  timeline: no flight-recorder rings captured");
     } else {
         const SHOW: usize = 80;
-        let (lines, dropped) = explain_timeline(rings);
+        let lines = explain_timeline(&b.rings);
+        let dropped: u64 = b.rings.iter().map(|r| r.dropped).sum();
         let skip = lines.len().saturating_sub(SHOW);
         let suffix = if skip > 0 {
             format!(", showing last {SHOW}")
@@ -2804,16 +2664,15 @@ fn explain(args: &[String]) -> Result<ExitCode, String> {
             "  timeline: {} events retained across {} rings \
              ({dropped} older events dropped){suffix}",
             lines.len(),
-            rings.len()
+            b.rings.len()
         );
         for line in lines.iter().skip(skip) {
             println!("    {line}");
         }
     }
-    println!("  probable cause: {}", jstr(&j, "probable_cause"));
-    let repro = jstr(&j, "repro");
-    if !repro.is_empty() && repro != "?" {
-        println!("  repro: {repro}");
+    println!("  probable cause: {}", b.probable_cause);
+    if !b.repro.is_empty() {
+        println!("  repro: {}", b.repro);
     }
     Ok(ExitCode::SUCCESS)
 }

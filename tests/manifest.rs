@@ -104,7 +104,7 @@ fn sim_section_is_jobs_invariant_while_host_differs() {
 fn manifest_round_trips_through_json() {
     let mut m = manifest_for(2, 3_456_789);
     m.bench = Some(BenchStats::from_samples(&[90, 100, 110], 1));
-    let parsed = Manifest::parse(&m.to_json()).expect("parses");
+    let parsed = Manifest::from_json(&m.to_json()).expect("parses");
     assert_eq!(parsed.command, m.command);
     assert_eq!(parsed.config, m.config);
     assert_eq!(parsed.sim_hashes, m.sim_hashes);
