@@ -51,7 +51,7 @@ impl MonitorCounters {
 }
 
 /// The first invariant breach of a run, for postmortem triage.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BreachRecord {
     /// Monitor name (`log_conservation`, `epoch_monotonic`,
     /// `addrmap_occupancy`, `checksum_spot`, `machine_audit`).

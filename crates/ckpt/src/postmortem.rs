@@ -25,13 +25,14 @@
 
 use acr_sim::FaultKindSet;
 use acr_trace::{
-    push_json_string, read_document, EventKind, FlightRecorder, Fnv1a, JsonError, ObjReader, Ring,
-    TraceEvent,
+    read_document, render_json, Coder, EventKind, FlightRecorder, Fnv1a, JsonError, JsonResult,
+    Layout, Ring, TraceEvent, INLINE,
 };
 
 use crate::inject::{fault_detail, CaseOutcome, FaultCaseRecord, RECOVERY_FAULT_LABELS};
-use crate::monitor::{BreachRecord, InvariantSummary, MonitorCounters};
+use crate::monitor::InvariantSummary;
 use crate::report::{BerReport, IntervalRecord};
+use crate::soak::TOP;
 
 /// Schema tag of [`PostmortemBundle::to_json`] documents.
 pub const POSTMORTEM_SCHEMA: &str = "acr.postmortem.v1";
@@ -44,6 +45,12 @@ pub const TRIGGERS: [&str; 5] = [
     "escalation-exhaustion",
     "invariant-breach",
 ];
+
+/// The flight-recorder rings: one ring per line.
+const RINGS: Layout = Layout::new("\n    ", ",\n    ", ": ", "\n  ", "");
+
+/// A ring's events: one event per line.
+const EVENTS: Layout = Layout::new("\n      ", ",\n      ", ": ", "\n    ", "");
 
 /// Sealed intervals retained in the bundle's ledger tail.
 const INTERVAL_TAIL: usize = 8;
@@ -64,7 +71,7 @@ pub struct CaseEnd<'a> {
 
 /// One flight-recorder event, owned (no `'static` borrows) so bundles can
 /// outlive the recorder.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EventRecord {
     /// Event shape: `"span"`, `"instant"` or `"counter"`.
     pub kind: &'static str,
@@ -111,7 +118,7 @@ impl EventRecord {
 }
 
 /// The drained contents of one flight-recorder ring.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RingDigest {
     /// Ring label: `"core<i>"` or `"global"`.
     pub track: String,
@@ -143,7 +150,7 @@ impl RingDigest {
 
 /// One recovery of the failed case, reduced to its escalation-relevant
 /// coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, Copy, PartialEq, Eq)]
 pub struct EscalationStep {
     /// Machine cycle at detection.
     pub detected_at_cycles: u64,
@@ -164,7 +171,7 @@ pub struct EscalationStep {
 /// is byte-stable. The `workload` and `repro` fields are empty when the
 /// bundle leaves the campaign; the CLI stamps them before writing so the
 /// JSON carries the exact reproduction command.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PostmortemBundle {
     /// What tripped the capture: `"divergence"`, `"abort"`, `"hang"`
     /// (recovery-watchdog budget exhausted), `"escalation-exhaustion"` or
@@ -310,364 +317,132 @@ impl PostmortemBundle {
         }
     }
 
+    /// The bundle's fields, in document order (see [`Coder`]). Labels
+    /// must come from the sets the engine emits, and `invariants.breaches`
+    /// must equal the per-monitor breach sum. Interval fields the bundle
+    /// does not carry decode as 0.
+    fn code(&mut self, c: &mut Coder<'_, '_>) -> JsonResult {
+        c.label("trigger", &mut self.trigger, TRIGGERS)?;
+        c.string("workload", &mut self.workload)?;
+        c.string("repro", &mut self.repro)?;
+        c.uint("seed", &mut self.seed)?;
+        c.uint("case", &mut self.case)?;
+        c.obj("fault", INLINE, &mut |c| {
+            let kinds = FaultKindSet::adversarial().labels(true);
+            c.label("kind", &mut self.fault_kind, kinds)?;
+            c.string("detail", &mut self.fault_detail)?;
+            c.uint("core", &mut self.fault_core)?;
+            c.uint("at_progress", &mut self.fault_at_progress)?;
+            c.uint("landing_cycle", &mut self.landing_cycle)
+        })?;
+        c.opt_label(
+            "recovery_fault",
+            &mut self.recovery_fault,
+            RECOVERY_FAULT_LABELS,
+        )?;
+        let outcomes = CaseOutcome::ALL.map(CaseOutcome::label);
+        c.label("outcome", &mut self.outcome, outcomes)?;
+        c.obj("machine", INLINE, &mut |c| {
+            c.uint("cycles", &mut self.cycles)?;
+            c.uint("final_retired", &mut self.final_retired)?;
+            c.hex("mem_fnv", &mut self.mem_fnv, 16)?;
+            c.uint("mem_divergence", &mut self.mem_divergence)?;
+            c.uint("reg_divergence", &mut self.reg_divergence)?;
+            c.uint("shadow_divergence", &mut self.shadow_divergence)?;
+            c.opt_string("failed_condition", &mut self.failed_condition)
+        })?;
+        c.obj("log", INLINE, &mut |c| {
+            c.uint("lifetime_logged", &mut self.lifetime_logged)?;
+            c.uint("lifetime_omitted", &mut self.lifetime_omitted)?;
+            c.uint("intervals_dropped", &mut self.intervals_dropped)?;
+            let tail = &mut self.intervals_tail;
+            c.list("intervals_tail", (INLINE, INLINE), tail, &mut |c, iv| {
+                c.uint("epoch", &mut iv.epoch)?;
+                c.uint("progress", &mut iv.progress)?;
+                c.uint("records", &mut iv.records)?;
+                c.uint("omitted", &mut iv.omitted)?;
+                c.uint("bytes", &mut iv.bytes)?;
+                c.uint("stall_cycles", &mut iv.stall_cycles)
+            })
+        })?;
+        c.obj("escalation", INLINE, &mut |c| {
+            c.uint("exhausted", &mut self.escalation_exhausted)?;
+            c.list(
+                "steps",
+                (INLINE, INLINE),
+                &mut self.escalation,
+                &mut |c, s| {
+                    c.uint("detected_at_cycles", &mut s.detected_at_cycles)?;
+                    c.uint("safe_epoch", &mut s.safe_epoch)?;
+                    c.uint("replay_retries", &mut s.replay_retries)?;
+                    c.uint("generation_fallbacks", &mut s.generation_fallbacks)?;
+                    c.bool("degraded_entered", &mut s.degraded_entered)
+                },
+            )
+        })?;
+        let inv = &mut self.invariants;
+        c.obj("invariants", INLINE, &mut |c| {
+            let mut breaches = inv.total_breaches();
+            c.uint("breaches", &mut breaches)?;
+            let names = inv.monitors().map(|(name, _)| name);
+            c.obj("monitors", INLINE, &mut |c| {
+                names.into_iter().try_for_each(|name| {
+                    let m = inv.counters_mut(name);
+                    c.obj(name, INLINE, &mut |c| {
+                        c.uint("checks", &mut m.checks)?;
+                        c.uint("breaches", &mut m.breaches)
+                    })
+                })
+            })?;
+            let first = &mut inv.first_breach;
+            c.opt_obj("first_breach", (true, INLINE), first, &mut |c, b| {
+                c.label("monitor", &mut b.monitor, names)?;
+                c.uint("epoch", &mut b.epoch)?;
+                c.uint("cycle", &mut b.cycle)?;
+                c.string("detail", &mut b.detail)
+            })?;
+            let total = inv.total_breaches();
+            c.check("breaches", breaches == total, || {
+                format!("{breaches} does not match the monitors' {total}")
+            })
+        })?;
+        c.list("rings", (RINGS, INLINE), &mut self.rings, &mut |c, r| {
+            c.string("track", &mut r.track)?;
+            c.uint("capacity", &mut r.capacity)?;
+            c.uint("total", &mut r.total)?;
+            c.uint("dropped", &mut r.dropped)?;
+            c.list("events", (EVENTS, INLINE), &mut r.events, &mut |c, ev| {
+                let kinds = [EventKind::Span, EventKind::Instant, EventKind::Counter];
+                c.label("kind", &mut ev.kind, kinds.map(kind_label))?;
+                c.string("name", &mut ev.name)?;
+                c.string("cat", &mut ev.cat)?;
+                c.uint("track", &mut ev.track)?;
+                c.uint("cycle", &mut ev.cycle)?;
+                c.uint("dur", &mut ev.dur)?;
+                c.map("args", INLINE, &mut ev.args, &mut |c, (k, v)| c.uint(k, v))
+            })
+        })?;
+        c.string("probable_cause", &mut self.probable_cause)
+    }
+
     /// Serialises the bundle as deterministic `acr.postmortem.v1` JSON
     /// (fixed key order, integers only, `mem_fnv` as a hex string so it
     /// survives `f64` parsers, trailing newline).
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut o = String::with_capacity(4096);
-        o.push_str("{\n");
-        let _ = write!(o, "  \"schema\": ");
-        push_json_string(&mut o, POSTMORTEM_SCHEMA);
-        let _ = write!(o, ",\n  \"trigger\": ");
-        push_json_string(&mut o, self.trigger);
-        let _ = write!(o, ",\n  \"workload\": ");
-        push_json_string(&mut o, &self.workload);
-        let _ = write!(o, ",\n  \"repro\": ");
-        push_json_string(&mut o, &self.repro);
-        let _ = write!(
-            o,
-            ",\n  \"seed\": {},\n  \"case\": {},",
-            self.seed, self.case
-        );
-        let _ = write!(o, "\n  \"fault\": {{\"kind\": ");
-        push_json_string(&mut o, self.fault_kind);
-        let _ = write!(o, ", \"detail\": ");
-        push_json_string(&mut o, &self.fault_detail);
-        let _ = write!(
-            o,
-            ", \"core\": {}, \"at_progress\": {}, \"landing_cycle\": {}}},",
-            self.fault_core, self.fault_at_progress, self.landing_cycle
-        );
-        let _ = write!(o, "\n  \"recovery_fault\": ");
-        match self.recovery_fault {
-            Some(label) => push_json_string(&mut o, label),
-            None => o.push_str("null"),
-        }
-        let _ = write!(o, ",\n  \"outcome\": ");
-        push_json_string(&mut o, self.outcome);
-        let _ = write!(
-            o,
-            ",\n  \"machine\": {{\"cycles\": {}, \"final_retired\": {}, \"mem_fnv\": \"{:#018x}\", \
-             \"mem_divergence\": {}, \"reg_divergence\": {}, \"shadow_divergence\": {}, \
-             \"failed_condition\": ",
-            self.cycles,
-            self.final_retired,
-            self.mem_fnv,
-            self.mem_divergence,
-            self.reg_divergence,
-            self.shadow_divergence
-        );
-        match &self.failed_condition {
-            Some(cond) => push_json_string(&mut o, cond),
-            None => o.push_str("null"),
-        }
-        o.push_str("},");
-        let _ = write!(
-            o,
-            "\n  \"log\": {{\"lifetime_logged\": {}, \"lifetime_omitted\": {}, \
-             \"intervals_dropped\": {}, \"intervals_tail\": [",
-            self.lifetime_logged, self.lifetime_omitted, self.intervals_dropped
-        );
-        for (i, iv) in self.intervals_tail.iter().enumerate() {
-            if i > 0 {
-                o.push_str(", ");
-            }
-            let _ = write!(
-                o,
-                "{{\"epoch\": {}, \"progress\": {}, \"records\": {}, \"omitted\": {}, \
-                 \"bytes\": {}, \"stall_cycles\": {}}}",
-                iv.epoch, iv.progress, iv.records, iv.omitted, iv.bytes, iv.stall_cycles
-            );
-        }
-        o.push_str("]},");
-        let _ = write!(
-            o,
-            "\n  \"escalation\": {{\"exhausted\": {}, \"steps\": [",
-            self.escalation_exhausted
-        );
-        for (i, s) in self.escalation.iter().enumerate() {
-            if i > 0 {
-                o.push_str(", ");
-            }
-            let _ = write!(
-                o,
-                "{{\"detected_at_cycles\": {}, \"safe_epoch\": {}, \"replay_retries\": {}, \
-                 \"generation_fallbacks\": {}, \"degraded_entered\": {}}}",
-                s.detected_at_cycles,
-                s.safe_epoch,
-                s.replay_retries,
-                s.generation_fallbacks,
-                s.degraded_entered
-            );
-        }
-        o.push_str("]},");
-        let _ = write!(
-            o,
-            "\n  \"invariants\": {{\"breaches\": {}, \"monitors\": {{",
-            self.invariants.total_breaches()
-        );
-        for (i, (name, c)) in self.invariants.monitors().iter().enumerate() {
-            if i > 0 {
-                o.push_str(", ");
-            }
-            push_json_string(&mut o, name);
-            let _ = write!(
-                o,
-                ": {{\"checks\": {}, \"breaches\": {}}}",
-                c.checks, c.breaches
-            );
-        }
-        o.push_str("}, \"first_breach\": ");
-        match &self.invariants.first_breach {
-            Some(b) => {
-                o.push_str("{\"monitor\": ");
-                push_json_string(&mut o, b.monitor);
-                let _ = write!(
-                    o,
-                    ", \"epoch\": {}, \"cycle\": {}, \"detail\": ",
-                    b.epoch, b.cycle
-                );
-                push_json_string(&mut o, &b.detail);
-                o.push('}');
-            }
-            None => o.push_str("null"),
-        }
-        o.push_str("},");
-        o.push_str("\n  \"rings\": [");
-        for (i, r) in self.rings.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            o.push_str("\n    {\"track\": ");
-            push_json_string(&mut o, &r.track);
-            let _ = write!(
-                o,
-                ", \"capacity\": {}, \"total\": {}, \"dropped\": {}, \"events\": [",
-                r.capacity, r.total, r.dropped
-            );
-            for (j, ev) in r.events.iter().enumerate() {
-                if j > 0 {
-                    o.push(',');
-                }
-                o.push_str("\n      {\"kind\": ");
-                push_json_string(&mut o, ev.kind);
-                o.push_str(", \"name\": ");
-                push_json_string(&mut o, &ev.name);
-                o.push_str(", \"cat\": ");
-                push_json_string(&mut o, &ev.cat);
-                let _ = write!(
-                    o,
-                    ", \"track\": {}, \"cycle\": {}, \"dur\": {}, \"args\": {{",
-                    ev.track, ev.cycle, ev.dur
-                );
-                for (k, (key, val)) in ev.args.iter().enumerate() {
-                    if k > 0 {
-                        o.push_str(", ");
-                    }
-                    push_json_string(&mut o, key);
-                    let _ = write!(o, ": {val}");
-                }
-                o.push_str("}}");
-            }
-            if !r.events.is_empty() {
-                o.push_str("\n    ");
-            }
-            o.push_str("]}");
-        }
-        if !self.rings.is_empty() {
-            o.push_str("\n  ");
-        }
-        o.push_str("],");
-        o.push_str("\n  \"probable_cause\": ");
-        push_json_string(&mut o, &self.probable_cause);
-        o.push_str("\n}\n");
-        o
+        let body = &mut |c: &mut Coder<'_, '_>| self.clone().code(c);
+        render_json(Some(POSTMORTEM_SCHEMA), TOP, body) + "\n"
     }
-}
 
-impl PostmortemBundle {
-    /// Decodes a bundle rendered by [`PostmortemBundle::to_json`]. Labels
-    /// must come from the sets the engine emits, and
-    /// `invariants.breaches` must equal the per-monitor breach sum.
-    /// Interval fields the bundle does not carry decode as 0.
+    /// Decodes a bundle rendered by [`PostmortemBundle::to_json`].
     ///
     /// # Errors
     ///
     /// A [`JsonError`] naming the first bad field.
     pub fn from_json(text: &str) -> Result<PostmortemBundle, JsonError> {
-        read_document(text, POSTMORTEM_SCHEMA, |o| {
-            let trigger = o.field("trigger")?.label(TRIGGERS)?;
-            let workload = o.field("workload")?.str()?.to_owned();
-            let repro = o.field("repro")?.str()?.to_owned();
-            let seed = o.field("seed")?.uint()?;
-            let case = o.field("case")?.uint()?;
-            let (fault_kind, fault_detail, fault_core, fault_at_progress, landing_cycle) =
-                o.field("fault")?.object(|f| {
-                    Ok((
-                        f.field("kind")?
-                            .label(FaultKindSet::adversarial().labels(true))?,
-                        f.field("detail")?.str()?.to_owned(),
-                        f.field("core")?.uint()?,
-                        f.field("at_progress")?.uint()?,
-                        f.field("landing_cycle")?.uint()?,
-                    ))
-                })?;
-            let recovery_fault = match o.field("recovery_fault")?.nullable() {
-                Some(f) => Some(f.label(RECOVERY_FAULT_LABELS)?),
-                None => None,
-            };
-            let outcome = o
-                .field("outcome")?
-                .label(CaseOutcome::ALL.map(CaseOutcome::label))?;
-            let machine = o.field("machine")?;
-            let log = o.field("log")?;
-            let escalation = o.field("escalation")?;
-            let mut b = machine.object(|m| {
-                Ok(PostmortemBundle {
-                    trigger,
-                    workload,
-                    repro,
-                    seed,
-                    case,
-                    fault_kind,
-                    fault_detail,
-                    fault_core,
-                    fault_at_progress,
-                    landing_cycle,
-                    recovery_fault,
-                    outcome,
-                    cycles: m.field("cycles")?.uint()?,
-                    final_retired: m.field("final_retired")?.uint()?,
-                    mem_fnv: m.field("mem_fnv")?.hex(16)?,
-                    mem_divergence: m.field("mem_divergence")?.uint()?,
-                    reg_divergence: m.field("reg_divergence")?.uint()?,
-                    shadow_divergence: m.field("shadow_divergence")?.uint()?,
-                    failed_condition: match m.field("failed_condition")?.nullable() {
-                        Some(f) => Some(f.str()?.to_owned()),
-                        None => None,
-                    },
-                    lifetime_logged: 0,
-                    lifetime_omitted: 0,
-                    intervals_tail: Vec::new(),
-                    intervals_dropped: 0,
-                    escalation: Vec::new(),
-                    escalation_exhausted: 0,
-                    invariants: InvariantSummary::default(),
-                    rings: Vec::new(),
-                    probable_cause: String::new(),
-                })
-            })?;
-            log.object(|l| {
-                b.lifetime_logged = l.field("lifetime_logged")?.uint()?;
-                b.lifetime_omitted = l.field("lifetime_omitted")?.uint()?;
-                b.intervals_dropped = l.field("intervals_dropped")?.uint()?;
-                for iv in l.field("intervals_tail")?.items()? {
-                    b.intervals_tail.push(iv.object(|iv| {
-                        Ok(IntervalRecord {
-                            epoch: iv.field("epoch")?.uint()?,
-                            progress: iv.field("progress")?.uint()?,
-                            records: iv.field("records")?.uint()?,
-                            omitted: iv.field("omitted")?.uint()?,
-                            bytes: iv.field("bytes")?.uint()?,
-                            stall_cycles: iv.field("stall_cycles")?.uint()?,
-                            baseline_bytes: 0,
-                            lines_flushed: 0,
-                        })
-                    })?);
-                }
-                Ok(())
-            })?;
-            escalation.object(|e| {
-                b.escalation_exhausted = e.field("exhausted")?.uint()?;
-                for step in e.field("steps")?.items()? {
-                    b.escalation.push(step.object(|s| {
-                        Ok(EscalationStep {
-                            detected_at_cycles: s.field("detected_at_cycles")?.uint()?,
-                            safe_epoch: s.field("safe_epoch")?.uint()?,
-                            replay_retries: s.field("replay_retries")?.uint()?,
-                            generation_fallbacks: s.field("generation_fallbacks")?.uint()?,
-                            degraded_entered: s.field("degraded_entered")?.bool()?,
-                        })
-                    })?);
-                }
-                Ok(())
-            })?;
-            b.invariants = o.field("invariants")?.object(invariants_from_json)?;
-            for ring in o.field("rings")?.items()? {
-                b.rings.push(ring.object(|r| {
-                    Ok(RingDigest {
-                        track: r.field("track")?.str()?.to_owned(),
-                        capacity: r.field("capacity")?.uint()?,
-                        total: r.field("total")?.uint()?,
-                        dropped: r.field("dropped")?.uint()?,
-                        events: r
-                            .field("events")?
-                            .items()?
-                            .iter()
-                            .map(|ev| ev.object(event_from_json))
-                            .collect::<Result<_, _>>()?,
-                    })
-                })?);
-            }
-            b.probable_cause = o.field("probable_cause")?.str()?.to_owned();
-            Ok(b)
-        })
+        let mut b = PostmortemBundle::default();
+        read_document(text, POSTMORTEM_SCHEMA, &mut |c| b.code(c))?;
+        Ok(b)
     }
-}
-
-fn invariants_from_json(o: &mut ObjReader<'_>) -> Result<InvariantSummary, JsonError> {
-    let breaches = o.field("breaches")?;
-    let mut inv = InvariantSummary::default();
-    let names = inv.monitors().map(|(name, _)| name);
-    o.field("monitors")?.object(|m| {
-        for name in names {
-            *inv.counters_mut(name) = m.field(name)?.object(|c| {
-                Ok(MonitorCounters {
-                    checks: c.field("checks")?.uint()?,
-                    breaches: c.field("breaches")?.uint()?,
-                })
-            })?;
-        }
-        Ok(())
-    })?;
-    if let Some(fb) = o.field("first_breach")?.nullable() {
-        inv.first_breach = Some(fb.object(|b| {
-            Ok(BreachRecord {
-                monitor: b.field("monitor")?.label(names)?,
-                epoch: b.field("epoch")?.uint()?,
-                cycle: b.field("cycle")?.uint()?,
-                detail: b.field("detail")?.str()?.to_owned(),
-            })
-        })?);
-    }
-    let n: u64 = breaches.uint()?;
-    if n != inv.total_breaches() {
-        return Err(breaches.err(format!(
-            "{n} does not match the monitors' {} breaches",
-            inv.total_breaches()
-        )));
-    }
-    Ok(inv)
-}
-
-fn event_from_json(o: &mut ObjReader<'_>) -> Result<EventRecord, JsonError> {
-    Ok(EventRecord {
-        kind: o
-            .field("kind")?
-            .label([EventKind::Span, EventKind::Instant, EventKind::Counter].map(kind_label))?,
-        name: o.field("name")?.str()?.to_owned(),
-        cat: o.field("cat")?.str()?.to_owned(),
-        track: o.field("track")?.uint()?,
-        cycle: o.field("cycle")?.uint()?,
-        dur: o.field("dur")?.uint()?,
-        args: o.field("args")?.object(|a| {
-            a.rest()
-                .into_iter()
-                .map(|(k, v)| Ok((k.to_owned(), v.uint()?)))
-                .collect()
-        })?,
-    })
 }
 
 /// Builds the probable-cause narrative: first breach wins, otherwise the

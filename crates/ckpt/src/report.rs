@@ -7,7 +7,7 @@ use acr_trace::TimeSeries;
 use crate::monitor::InvariantSummary;
 
 /// One sealed checkpoint interval, as the per-interval data of Figs. 9/10.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, Copy, PartialEq, Eq)]
 pub struct IntervalRecord {
     /// Log epoch index.
     pub epoch: u64,

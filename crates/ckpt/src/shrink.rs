@@ -24,12 +24,12 @@
 //! plan serializes to a small `acr.repro.v1` [`ReproDoc`] JSON document;
 //! [`ReproDoc::from_json`] round-trips it for replay.
 
-use std::fmt::Write as _;
-
 use acr_isa::{Program, NUM_REGS};
-use acr_mem::{CoreId, WordAddr};
+use acr_mem::WordAddr;
 use acr_sim::{Fault, FaultKind, FaultKindSet, MachineConfig, BURST_MAX_SPAN, PC_FAULT_BITS};
-use acr_trace::{push_json_string, read_document, Field, JsonError, MetricsRegistry, ObjReader};
+use acr_trace::{
+    read_document, render_json, Coder, Field, JsonError, JsonResult, MetricsRegistry, INLINE,
+};
 
 use crate::errors::CkptError;
 use crate::inject::{
@@ -39,6 +39,7 @@ use crate::inject::{
 use crate::parallel::ParallelRunner;
 use crate::policy::OmissionPolicy;
 use crate::postmortem::{PostmortemBundle, TRIGGERS};
+use crate::soak::{BLOCK, TOP};
 
 /// Repro document schema identifier.
 pub const REPRO_SCHEMA: &str = "acr.repro.v1";
@@ -421,126 +422,89 @@ where
     })
 }
 
-/// Serializes one fault as a compact JSON object (kind-specific fields
-/// only; addresses as hex strings). Inverse of [`fault_from_json`].
-pub fn fault_to_json(f: &Fault) -> String {
-    let mut o = format!(
-        "{{\"at\": {}, \"core\": {}, \"kind\": ",
-        f.at_progress, f.core.0
-    );
-    push_json_string(&mut o, f.kind.label());
-    match f.kind {
+/// A fault's fields, in document order (see [`Coder`]): the kind label,
+/// then only that kind's fields, with the core, register, bit and span in
+/// the ranges the simulator injects on `cores` cores.
+fn code_fault(c: &mut Coder<'_, '_>, f: &mut Fault, cores: u32) -> JsonResult {
+    c.uint("at", &mut f.at_progress)?;
+    c.within("core", &mut f.core.0, 0..=cores.saturating_sub(1))?;
+    let mut label = f.kind.label();
+    c.label("kind", &mut label, FaultKindSet::adversarial().labels(true))?;
+    if label != f.kind.label() {
+        // Decoding: start from the labelled kind, then read its fields.
+        let (addr, bit) = (WordAddr::new(0), 0);
+        f.kind = match label {
+            "reg" => FaultKind::RegBitFlip { reg: 0, bit },
+            "pc" => FaultKind::PcBitFlip { bit },
+            "mem" => FaultKind::MemBitFlip { addr, bit },
+            "burst" => FaultKind::MemBurst { addr, bit, span: 2 },
+            _ => FaultKind::StuckAt {
+                addr,
+                bit,
+                stuck_one: false,
+            },
+        };
+    }
+    let addr = |c: &mut Coder<'_, '_>, addr: &mut WordAddr| {
+        let mut b = addr.byte();
+        c.hex("addr", &mut b, 0)?;
+        c.check("addr", b.is_multiple_of(WORD_BYTES), || {
+            format!("{b:#x} is not word-aligned")
+        })?;
+        *addr = WordAddr::new(b);
+        Ok(())
+    };
+    match &mut f.kind {
         FaultKind::RegBitFlip { reg, bit } => {
-            let _ = write!(o, ", \"reg\": {reg}, \"bit\": {bit}");
+            c.within("reg", reg, 0..=NUM_REGS as u8 - 1)?;
+            c.within("bit", bit, 0..=63)
         }
-        FaultKind::PcBitFlip { bit } => {
-            let _ = write!(o, ", \"bit\": {bit}");
+        FaultKind::PcBitFlip { bit } => c.within("bit", bit, 0..=PC_FAULT_BITS - 1),
+        FaultKind::MemBitFlip { addr: a, bit } => {
+            addr(c, a)?;
+            c.within("bit", bit, 0..=63)
         }
-        FaultKind::MemBitFlip { addr, bit } => {
-            let _ = write!(o, ", \"addr\": \"{:#x}\", \"bit\": {bit}", addr.byte());
-        }
-        FaultKind::MemBurst { addr, bit, span } => {
-            let _ = write!(
-                o,
-                ", \"addr\": \"{:#x}\", \"bit\": {bit}, \"span\": {span}",
-                addr.byte()
-            );
+        FaultKind::MemBurst { addr: a, bit, span } => {
+            addr(c, a)?;
+            c.within("bit", bit, 0..=63)?;
+            c.within("span", span, 2..=BURST_MAX_SPAN)
         }
         FaultKind::StuckAt {
-            addr,
+            addr: a,
             bit,
             stuck_one,
         } => {
-            let _ = write!(
-                o,
-                ", \"addr\": \"{:#x}\", \"bit\": {bit}, \"stuck_one\": {stuck_one}",
-                addr.byte()
-            );
+            addr(c, a)?;
+            c.within("bit", bit, 0..=63)?;
+            c.bool("stuck_one", stuck_one)
         }
-        FaultKind::Crash => {}
+        FaultKind::Crash => Ok(()),
     }
-    o.push('}');
-    o
+}
+
+/// Serializes one fault as a compact JSON object (kind-specific fields
+/// only; addresses as hex strings). Inverse of [`fault_from_json`].
+pub fn fault_to_json(f: &Fault) -> String {
+    render_json(None, INLINE, &mut |c| code_fault(c, &mut { *f }, u32::MAX))
 }
 
 /// Decodes a fault rendered by [`fault_to_json`] for a machine of
-/// `cores` cores: every field of the fault's kind is required, and the
-/// core, register, bit and span must lie in the ranges the simulator
-/// injects.
+/// `cores` cores.
 ///
 /// # Errors
 ///
 /// A [`JsonError`] naming the first bad field.
 pub fn fault_from_json(f: &Field<'_>, cores: u32) -> Result<Fault, JsonError> {
-    f.object(|o| {
-        let at_progress = o.field("at")?.uint()?;
-        let core = below(&o.field("core")?, cores)?;
-        let label = o
-            .field("kind")?
-            .label(FaultKindSet::adversarial().labels(true))?;
-        let bit = |o: &mut ObjReader<'_>, limit: u8| below(&o.field("bit")?, limit);
-        let addr = |o: &mut ObjReader<'_>| -> Result<WordAddr, JsonError> {
-            let field = o.field("addr")?;
-            let b = field.hex(0)?;
-            if b % WORD_BYTES != 0 {
-                return Err(field.err(format!("{b:#x} is not word-aligned")));
-            }
-            Ok(WordAddr::new(b))
-        };
-        let kind = match label {
-            "reg" => FaultKind::RegBitFlip {
-                reg: below(&o.field("reg")?, NUM_REGS as u8)?,
-                bit: bit(o, 64)?,
-            },
-            "pc" => FaultKind::PcBitFlip {
-                bit: bit(o, PC_FAULT_BITS)?,
-            },
-            "mem" => FaultKind::MemBitFlip {
-                addr: addr(o)?,
-                bit: bit(o, 64)?,
-            },
-            "burst" => {
-                let (addr, bit) = (addr(o)?, bit(o, 64)?);
-                let field = o.field("span")?;
-                let span = field.uint()?;
-                if !(2..=BURST_MAX_SPAN).contains(&span) {
-                    return Err(field.err(format!("{span} outside 2..={BURST_MAX_SPAN}")));
-                }
-                FaultKind::MemBurst { addr, bit, span }
-            }
-            "stuck" => FaultKind::StuckAt {
-                addr: addr(o)?,
-                bit: bit(o, 64)?,
-                stuck_one: o.field("stuck_one")?.bool()?,
-            },
-            _ => FaultKind::Crash,
-        };
-        Ok(Fault {
-            at_progress,
-            core: CoreId(core),
-            kind,
-        })
-    })
-}
-
-/// An integer field below `limit`.
-fn below<T: TryFrom<u64> + PartialOrd + std::fmt::Display>(
-    f: &Field<'_>,
-    limit: T,
-) -> Result<T, JsonError> {
-    let v: T = f.uint()?;
-    if v < limit {
-        Ok(v)
-    } else {
-        Err(f.err(format!("{v} out of range (limit {limit})")))
-    }
+    let mut fault = Fault::default();
+    f.object(|o| code_fault(&mut Coder::Read(o), &mut fault, cores))?;
+    Ok(fault)
 }
 
 /// An `acr.repro.v1` document: everything `shrink --replay` needs to
 /// rebuild the exact engine configuration of a shrunk case, plus its
 /// minimal fault plan. Fractions are decimal strings and the seed a hex
 /// string, so both round-trip exactly through any JSON parser.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReproDoc {
     /// Workload name.
     pub workload: String,
@@ -574,100 +538,50 @@ pub struct ReproDoc {
     pub faults: Vec<Fault>,
 }
 
-const POLICIES: [&str; 2] = ["acr", "baseline"];
-
 impl ReproDoc {
-    /// Renders the document (fixed key order, one field per line).
-    pub fn to_json(&self) -> String {
-        let mut o = String::from("{\n  \"schema\": ");
-        push_json_string(&mut o, REPRO_SCHEMA);
-        o.push_str(",\n  \"workload\": ");
-        push_json_string(&mut o, &self.workload);
-        let _ = write!(o, ",\n  \"case\": {}", self.case);
-        let _ = write!(o, ",\n  \"seed\": \"{:#x}\"", self.seed);
-        let _ = write!(o, ",\n  \"threads\": {}", self.threads);
-        let _ = write!(o, ",\n  \"scale\": \"{}\"", self.scale);
-        let _ = write!(o, ",\n  \"checkpoints\": {}", self.checkpoints);
-        let _ = write!(o, ",\n  \"latency\": \"{}\"", self.latency);
-        let _ = write!(
-            o,
-            ",\n  \"policy\": \"{}\"",
-            POLICIES[usize::from(!self.amnesic)]
-        );
-        let _ = write!(o, ",\n  \"recovery_faults\": {}", self.recovery_faults);
-        let _ = write!(o, ",\n  \"generations\": {}", self.generations);
-        let _ = write!(o, ",\n  \"watchdog_budget\": {}", self.watchdog_budget);
-        let _ = write!(o, ",\n  \"trigger\": \"{}\"", self.trigger);
-        o.push_str(",\n  \"probable_cause\": ");
-        push_json_string(&mut o, &self.probable_cause);
-        let _ = write!(o, ",\n  \"original_faults\": {}", self.original_faults);
-        o.push_str(",\n  \"faults\": [");
-        for (i, f) in self.faults.iter().enumerate() {
-            o.push_str(if i == 0 { "\n    " } else { ",\n    " });
-            o.push_str(&fault_to_json(f));
-        }
-        o.push_str("\n  ]\n}\n");
-        o
+    /// The document's fields, in document order (see [`Coder`]), each
+    /// range-checked as the CLI flag that set it; each fault's core must
+    /// exist on `threads` cores.
+    fn code(&mut self, c: &mut Coder<'_, '_>) -> JsonResult {
+        c.string("workload", &mut self.workload)?;
+        c.uint("case", &mut self.case)?;
+        c.hex("seed", &mut self.seed, 0)?;
+        c.within("threads", &mut self.threads, 1..=64)?;
+        c.decimal("scale", &mut self.scale, |x| x > 0.0, "positive")?;
+        c.uint("checkpoints", &mut self.checkpoints)?;
+        let unit = |x: f64| (0.0..=1.0).contains(&x);
+        c.decimal("latency", &mut self.latency, unit, "within [0, 1]")?;
+        let policies = ["acr", "baseline"];
+        let mut policy = policies[usize::from(!self.amnesic)];
+        c.label("policy", &mut policy, policies)?;
+        self.amnesic = policy == "acr";
+        c.bool("recovery_faults", &mut self.recovery_faults)?;
+        c.within("generations", &mut self.generations, 1..=u32::MAX)?;
+        c.uint("watchdog_budget", &mut self.watchdog_budget)?;
+        c.label("trigger", &mut self.trigger, TRIGGERS)?;
+        c.string("probable_cause", &mut self.probable_cause)?;
+        c.uint("original_faults", &mut self.original_faults)?;
+        let cores = self.threads;
+        c.list("faults", (BLOCK, INLINE), &mut self.faults, &mut |c, f| {
+            code_fault(c, f, cores)
+        })
     }
 
-    /// Decodes a document rendered by [`ReproDoc::to_json`]. Every field
-    /// is required and range-checked as the CLI flags are; each fault's
-    /// core must exist on `threads` cores.
+    /// Renders the document (fixed key order, one field per line).
+    pub fn to_json(&self) -> String {
+        let body = &mut |c: &mut Coder<'_, '_>| self.clone().code(c);
+        render_json(Some(REPRO_SCHEMA), TOP, body) + "\n"
+    }
+
+    /// Decodes a document rendered by [`ReproDoc::to_json`].
     ///
     /// # Errors
     ///
     /// A [`JsonError`] naming the first bad field.
     pub fn from_json(text: &str) -> Result<ReproDoc, JsonError> {
-        read_document(text, REPRO_SCHEMA, |o| {
-            let workload = o.field("workload")?.str()?.to_owned();
-            let case = o.field("case")?.uint()?;
-            let seed = o.field("seed")?.hex(0)?;
-            let field = o.field("threads")?;
-            let threads = field.uint()?;
-            if !(1..=64).contains(&threads) {
-                return Err(field.err(format!("{threads} outside 1..=64")));
-            }
-            let field = o.field("scale")?;
-            let scale = field.decimal()?;
-            if scale <= 0.0 {
-                return Err(field.err(format!("{scale} is not positive")));
-            }
-            let checkpoints = o.field("checkpoints")?.uint()?;
-            let field = o.field("latency")?;
-            let latency = field.decimal()?;
-            if !(0.0..=1.0).contains(&latency) {
-                return Err(field.err(format!("{latency} outside [0, 1]")));
-            }
-            let amnesic = o.field("policy")?.label(POLICIES)? == "acr";
-            let recovery_faults = o.field("recovery_faults")?.bool()?;
-            let field = o.field("generations")?;
-            let generations = field.uint()?;
-            if generations == 0 {
-                return Err(field.err("must be positive"));
-            }
-            Ok(ReproDoc {
-                workload,
-                case,
-                seed,
-                threads,
-                scale,
-                checkpoints,
-                latency,
-                amnesic,
-                recovery_faults,
-                generations,
-                watchdog_budget: o.field("watchdog_budget")?.uint()?,
-                trigger: o.field("trigger")?.label(TRIGGERS)?,
-                probable_cause: o.field("probable_cause")?.str()?.to_owned(),
-                original_faults: o.field("original_faults")?.uint()?,
-                faults: o
-                    .field("faults")?
-                    .items()?
-                    .iter()
-                    .map(|f| fault_from_json(f, threads))
-                    .collect::<Result<_, _>>()?,
-            })
-        })
+        let mut doc = ReproDoc::default();
+        read_document(text, REPRO_SCHEMA, &mut |c| doc.code(c))?;
+        Ok(doc)
     }
 
     /// The campaign configuration the document's case replays under.
@@ -691,6 +605,7 @@ mod tests {
     use super::*;
     use crate::policy::NoOmission;
     use acr_isa::{AluOp, ProgramBuilder, Reg};
+    use acr_mem::CoreId;
     use acr_sim::FaultKindSet;
     use acr_trace::parse_json;
 
@@ -925,15 +840,15 @@ mod tests {
             ),
             (
                 r#"{"at": 1, "core": 0, "kind": "pc", "bit": 4}"#,
-                "bit: 4 out of range (limit 4)",
+                "bit: 4 outside 0..=3",
             ),
             (
                 r#"{"at": 1, "core": 2, "kind": "crash"}"#,
-                "core: 2 out of range (limit 2)",
+                "core: 2 outside 0..=1",
             ),
             (
                 r#"{"at": 1, "core": 0, "kind": "reg", "reg": 32, "bit": 0}"#,
-                "reg: 32 out of range (limit 32)",
+                "reg: 32 outside 0..=31",
             ),
             (
                 r#"{"at": 1, "core": 0, "kind": "burst", "addr": "0x8", "bit": 0, "span": 9}"#,

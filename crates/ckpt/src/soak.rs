@@ -22,13 +22,23 @@
 use std::fmt::Write as _;
 
 use acr_sim::{FaultKindSet, FaultStorm};
-use acr_trace::{push_json_string, read_document, Fnv1a, JsonError, MetricsRegistry};
+use acr_trace::{
+    read_document, render_json, Coder, Fnv1a, JsonError, JsonResult, Layout, MetricsRegistry,
+    INLINE,
+};
 
 use crate::inject::{CampaignConfig, CampaignError, CampaignReport};
 use crate::postmortem::PostmortemBundle;
 
 /// Cursor document schema identifier.
 pub const SOAK_CURSOR_SCHEMA: &str = "acr.soak-cursor.v1";
+
+/// Top level of the cursor, repro and postmortem documents: one member
+/// per line, indented two spaces.
+pub(crate) const TOP: Layout = Layout::new("\n  ", ",\n  ", ": ", "\n", "\n");
+
+/// An array with one element per line, indented four spaces.
+pub(crate) const BLOCK: Layout = Layout::new("\n    ", ",\n    ", ": ", "\n  ", "\n  ");
 
 /// One fault-model preset of the soak grid: a kind set plus an optional
 /// storm schedule.
@@ -202,7 +212,7 @@ impl SoakGrid {
 }
 
 /// Cumulative outcome matrix of one grid combo.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SoakCell {
     /// Combo key (`workload/model/resilience`).
     pub key: String,
@@ -225,19 +235,14 @@ impl SoakCell {
     fn new(key: String) -> SoakCell {
         SoakCell {
             key,
-            cases: 0,
-            recovered: 0,
-            due: 0,
-            sdc: 0,
-            hang: 0,
-            hash_chain: 0,
+            ..SoakCell::default()
         }
     }
 }
 
 /// The resumable soak state: where the chunk schedule stands plus the
 /// cumulative matrix. Serializes to `acr.soak-cursor.v1` JSON.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SoakCursor {
     /// Soak seed every chunk seed is mixed from.
     pub seed: u64,
@@ -306,30 +311,28 @@ impl SoakCursor {
         out
     }
 
-    /// Serializes the cursor (deterministic, hand-rolled like every other
-    /// JSON artifact in the workspace; `u64`s that can exceed 2^53 are
-    /// hex strings).
+    /// The cursor's fields, in document order (see [`Coder`]); `u64`s
+    /// that can exceed 2^53 are hex strings.
+    fn code(&mut self, c: &mut Coder<'_, '_>) -> JsonResult {
+        c.hex("seed", &mut self.seed, 0)?;
+        c.uint("chunk_cases", &mut self.chunk_cases)?;
+        c.hex("fingerprint", &mut self.fingerprint, 16)?;
+        c.uint("chunks_done", &mut self.chunks_done)?;
+        c.list("cells", (BLOCK, INLINE), &mut self.cells, &mut |c, cell| {
+            c.string("key", &mut cell.key)?;
+            c.uint("cases", &mut cell.cases)?;
+            c.uint("recovered", &mut cell.recovered)?;
+            c.uint("due", &mut cell.due)?;
+            c.uint("sdc", &mut cell.sdc)?;
+            c.uint("hang", &mut cell.hang)?;
+            c.hex("hash_chain", &mut cell.hash_chain, 16)
+        })
+    }
+
+    /// Serializes the cursor (deterministic, one cell per line).
     pub fn to_json(&self) -> String {
-        let mut o = String::from("{\n  \"schema\": ");
-        push_json_string(&mut o, SOAK_CURSOR_SCHEMA);
-        let _ = write!(o, ",\n  \"seed\": \"{:#x}\"", self.seed);
-        let _ = write!(o, ",\n  \"chunk_cases\": {}", self.chunk_cases);
-        let _ = write!(o, ",\n  \"fingerprint\": \"{:#018x}\"", self.fingerprint);
-        let _ = write!(o, ",\n  \"chunks_done\": {}", self.chunks_done);
-        o.push_str(",\n  \"cells\": [");
-        for (i, c) in self.cells.iter().enumerate() {
-            o.push_str(if i == 0 { "\n" } else { ",\n" });
-            o.push_str("    {\"key\": ");
-            push_json_string(&mut o, &c.key);
-            let _ = write!(
-                o,
-                ", \"cases\": {}, \"recovered\": {}, \"due\": {}, \"sdc\": {}, \
-                 \"hang\": {}, \"hash_chain\": \"{:#018x}\"}}",
-                c.cases, c.recovered, c.due, c.sdc, c.hang, c.hash_chain
-            );
-        }
-        o.push_str("\n  ]\n}\n");
-        o
+        let body = &mut |c: &mut Coder<'_, '_>| self.clone().code(c);
+        render_json(Some(SOAK_CURSOR_SCHEMA), TOP, body) + "\n"
     }
 
     /// Decodes a cursor rendered by [`SoakCursor::to_json`]. Whether it
@@ -339,32 +342,9 @@ impl SoakCursor {
     ///
     /// A [`JsonError`] naming the first bad field.
     pub fn from_json(text: &str) -> Result<SoakCursor, JsonError> {
-        read_document(text, SOAK_CURSOR_SCHEMA, |o| {
-            Ok(SoakCursor {
-                seed: o.field("seed")?.hex(0)?,
-                chunk_cases: o.field("chunk_cases")?.uint()?,
-                fingerprint: o.field("fingerprint")?.hex(16)?,
-                chunks_done: o.field("chunks_done")?.uint()?,
-                cells: o
-                    .field("cells")?
-                    .items()?
-                    .iter()
-                    .map(|c| {
-                        c.object(|c| {
-                            Ok(SoakCell {
-                                key: c.field("key")?.str()?.to_owned(),
-                                cases: c.field("cases")?.uint()?,
-                                recovered: c.field("recovered")?.uint()?,
-                                due: c.field("due")?.uint()?,
-                                sdc: c.field("sdc")?.uint()?,
-                                hang: c.field("hang")?.uint()?,
-                                hash_chain: c.field("hash_chain")?.hex(16)?,
-                            })
-                        })
-                    })
-                    .collect::<Result<_, _>>()?,
-            })
-        })
+        let mut cursor = SoakCursor::default();
+        read_document(text, SOAK_CURSOR_SCHEMA, &mut |c| cursor.code(c))?;
+        Ok(cursor)
     }
 
     /// Checks that this cursor belongs to `grid`: fingerprint and cell

@@ -46,7 +46,7 @@ use acr_mem::{CoreId, WordAddr};
 use acr_rng::SmallRng;
 
 /// The kind of state corruption to inject.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FaultKind {
     /// Flip bit `bit` of architectural register `reg` on the target core.
     RegBitFlip {
@@ -96,6 +96,7 @@ pub enum FaultKind {
     },
     /// Power-loss crash: every core loses registers and pc simultaneously.
     /// Detection is immediate (a crash is not silent).
+    #[default]
     Crash,
 }
 
@@ -131,7 +132,7 @@ impl FaultKind {
 
 /// One planned fault: corrupt `core` with `kind` once total retired
 /// instructions reach `at_progress`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Fault {
     /// Injection point in retired instructions.
     pub at_progress: u64,

@@ -5,6 +5,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::RangeInclusive;
+
+use crate::chrome::push_json_string;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -308,36 +311,26 @@ pub struct JsonError {
 
 impl fmt::Display for JsonError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.path.is_empty() {
-            f.write_str(&self.msg)
-        } else {
-            write!(f, "{}: {}", self.path, self.msg)
+        match self.path.as_str() {
+            "" => f.write_str(&self.msg),
+            path => write!(f, "{path}: {}", self.msg),
         }
     }
 }
 
 impl std::error::Error for JsonError {}
 
-/// A short rendering of a value for error messages.
-fn describe(v: &Json) -> String {
-    match v {
-        Json::Null => "null".to_owned(),
-        Json::Bool(b) => b.to_string(),
-        Json::Int(n) => n.to_string(),
-        Json::Num(x) => format!("{x:?}"),
-        Json::Str(s) => format!("{s:?}"),
-        Json::Arr(_) => "an array".to_owned(),
-        Json::Obj(_) => "an object".to_owned(),
-    }
-}
+/// A decoded value, or the field that failed.
+pub type JsonResult<T = ()> = Result<T, JsonError>;
+
+/// Integer types a [`Coder`] decodes exactly and renders in decimal.
+pub trait Uint: TryFrom<u64> + fmt::Display + PartialOrd + Copy {}
+
+impl<T: TryFrom<u64> + fmt::Display + PartialOrd + Copy> Uint for T {}
 
 /// One value of a document under decode, with the path that names it in
-/// errors. The typed accessors accept exactly what the workspace's
-/// writers emit, so a decoded value re-renders to the same JSON value:
-/// integers are exact canonical literals, hex strings are lowercase at
-/// the writer's width, decimals are in `f64`'s shortest display form, and
-/// objects read through [`Field::object`] reject duplicate and unread
-/// keys.
+/// errors. The accessors accept exactly what the workspace's writers
+/// emit, so a decoded value re-renders to the same JSON value.
 #[derive(Debug, Clone)]
 pub struct Field<'a> {
     value: &'a Json,
@@ -347,91 +340,48 @@ pub struct Field<'a> {
 impl<'a> Field<'a> {
     /// The whole document.
     pub fn root(value: &'a Json) -> Self {
-        Field {
-            value,
-            path: String::new(),
-        }
-    }
-
-    /// The raw value.
-    pub fn value(&self) -> &'a Json {
-        self.value
+        let path = String::new();
+        Field { value, path }
     }
 
     /// An error about this field.
     pub fn err(&self, msg: impl Into<String>) -> JsonError {
-        JsonError {
-            path: self.path.clone(),
-            msg: msg.into(),
-        }
+        let (path, msg) = (self.path.clone(), msg.into());
+        JsonError { path, msg }
     }
 
     fn expected(&self, what: &str) -> JsonError {
-        self.err(format!("expected {what}, found {}", describe(self.value)))
+        let found = match self.value {
+            Json::Null => "null".to_owned(),
+            Json::Bool(b) => b.to_string(),
+            Json::Int(n) => n.to_string(),
+            Json::Num(x) => format!("{x:?}"),
+            Json::Str(s) => format!("{s:?}"),
+            Json::Arr(_) => "an array".to_owned(),
+            Json::Obj(_) => "an object".to_owned(),
+        };
+        self.err(format!("expected {what}, found {found}"))
     }
 
     /// A string.
-    pub fn str(&self) -> Result<&'a str, JsonError> {
+    pub fn str(&self) -> JsonResult<&'a str> {
         self.value.as_str().ok_or_else(|| self.expected("a string"))
     }
 
-    /// `true` or `false`.
-    pub fn bool(&self) -> Result<bool, JsonError> {
-        match self.value {
-            Json::Bool(b) => Ok(*b),
-            _ => Err(self.expected("true or false")),
-        }
+    /// An exact canonical integer literal, narrowed to `T`.
+    pub fn uint<T: TryFrom<u64>>(&self) -> JsonResult<T> {
+        let Json::Int(n) = *self.value else {
+            return Err(self.expected("a non-negative integer"));
+        };
+        let ty = std::any::type_name::<T>();
+        T::try_from(n).map_err(|_| self.err(format!("{n} out of range for {ty}")))
     }
 
-    /// An exact non-negative integer, narrowed to `T`.
-    pub fn uint<T: TryFrom<u64>>(&self) -> Result<T, JsonError> {
-        match self.value {
-            Json::Int(n) => T::try_from(*n).map_err(|_| {
-                self.err(format!(
-                    "{n} out of range for {}",
-                    std::any::type_name::<T>()
-                ))
-            }),
-            _ => Err(self.expected("a non-negative integer")),
-        }
-    }
-
-    /// A `u64` written as a lowercase `0x…` string of exactly `digits` hex
-    /// digits, or of the fewest digits when `digits` is 0.
-    pub fn hex(&self, digits: usize) -> Result<u64, JsonError> {
-        let s = self.str()?;
-        let v = s
-            .strip_prefix("0x")
-            .filter(|h| !h.is_empty() && h.bytes().all(|b| b.is_ascii_hexdigit()))
-            .and_then(|h| u64::from_str_radix(h, 16).ok());
-        match v {
-            Some(v) if format!("{v:#0w$x}", w = digits + 2) == s => Ok(v),
-            _ => Err(self.expected("a canonical lowercase 0x hex string")),
-        }
-    }
-
-    /// A finite `f64` written as a string in its shortest display form
-    /// (`"0.5"`, `"1"`).
-    pub fn decimal(&self) -> Result<f64, JsonError> {
-        let s = self.str()?;
-        match s.parse::<f64>() {
-            Ok(v) if v.is_finite() && v.to_string() == s => Ok(v),
-            _ => Err(self.expected("a canonical decimal string")),
-        }
-    }
-
-    /// A string from a fixed label set, returned as the set's own
-    /// `'static` label.
-    pub fn label(
-        &self,
-        set: impl IntoIterator<Item = &'static str>,
-    ) -> Result<&'static str, JsonError> {
-        let s = self.str()?;
-        let set: Vec<&'static str> = set.into_iter().collect();
-        set.iter()
-            .find(|l| **l == s)
-            .copied()
-            .ok_or_else(|| self.err(format!("{s:?} is not one of {}", set.join("|"))))
+    /// A string from a fixed label set, as the set's own label.
+    pub fn label(&self, set: impl IntoIterator<Item = &'static str>) -> JsonResult<&'static str> {
+        let (s, set): (_, Vec<_>) = (self.str()?, set.into_iter().collect());
+        let found = set.iter().find(|l| **l == s).copied();
+        found.ok_or_else(|| self.err(format!("{s:?} is not one of {}", set.join("|"))))
     }
 
     /// `None` for `null`, the field itself otherwise.
@@ -440,42 +390,40 @@ impl<'a> Field<'a> {
     }
 
     /// The elements of an array, each with its indexed path.
-    pub fn items(&self) -> Result<Vec<Field<'a>>, JsonError> {
+    pub fn items(&self) -> JsonResult<Vec<Field<'a>>> {
         let items = self
             .value
             .as_arr()
             .ok_or_else(|| self.expected("an array"))?;
-        Ok(items
-            .iter()
-            .enumerate()
-            .map(|(i, value)| Field {
-                value,
-                path: format!("{}[{i}]", self.path),
-            })
-            .collect())
+        let item = |(i, value)| Field {
+            value,
+            path: format!("{}[{i}]", self.path),
+        };
+        Ok(items.iter().enumerate().map(item).collect())
     }
 
     /// Decodes an object through `body`, then rejects every key `body`
     /// did not read. Duplicate keys are rejected up front.
     pub fn object<T>(
         &self,
-        body: impl FnOnce(&mut ObjReader<'a>) -> Result<T, JsonError>,
-    ) -> Result<T, JsonError> {
+        body: impl FnOnce(&mut ObjReader<'a>) -> JsonResult<T>,
+    ) -> JsonResult<T> {
         let Json::Obj(members) = self.value else {
             return Err(self.expected("an object"));
         };
-        let mut seen = BTreeSet::new();
+        let (path, read) = (self.path.clone(), vec![false; members.len()]);
         let mut r = ObjReader {
             members,
-            path: self.path.clone(),
-            read: vec![false; members.len()],
+            path,
+            read,
         };
+        let mut seen = BTreeSet::new();
         if let Some((k, _)) = members.iter().find(|(k, _)| !seen.insert(k.as_str())) {
-            return Err(r.child(k, &Json::Null).err("duplicate key"));
+            return Err(r.err(k, "duplicate key"));
         }
         let v = body(&mut r)?;
         match r.read.iter().position(|read| !read) {
-            Some(i) => Err(r.child(&members[i].0, &Json::Null).err("unknown field")),
+            Some(i) => Err(r.err(&members[i].0, "unknown field")),
             None => Ok(v),
         }
     }
@@ -490,15 +438,17 @@ pub struct ObjReader<'a> {
 }
 
 impl<'a> ObjReader<'a> {
-    fn child<'v>(&self, key: &str, value: &'v Json) -> Field<'v> {
-        Field {
-            value,
-            path: if self.path.is_empty() {
-                key.to_owned()
-            } else {
-                format!("{}.{key}", self.path)
-            },
-        }
+    fn child(&self, key: &str, value: &'a Json) -> Field<'a> {
+        let path = match self.path.as_str() {
+            "" => key.to_owned(),
+            parent => format!("{parent}.{key}"),
+        };
+        Field { value, path }
+    }
+
+    /// An error about the member `key`.
+    pub fn err(&self, key: &str, msg: impl Into<String>) -> JsonError {
+        self.child(key, &Json::Null).err(msg)
     }
 
     /// An optional member, marked read.
@@ -509,51 +459,363 @@ impl<'a> ObjReader<'a> {
     }
 
     /// A required member, marked read.
-    pub fn field(&mut self, key: &str) -> Result<Field<'a>, JsonError> {
-        self.opt(key)
-            .ok_or_else(|| self.child(key, &Json::Null).err("missing"))
+    pub fn field(&mut self, key: &str) -> JsonResult<Field<'a>> {
+        self.opt(key).ok_or_else(|| self.err(key, "missing"))
     }
 
-    /// Every member not read yet, in document order, all marked read —
-    /// for objects used as ordered maps.
-    pub fn rest(&mut self) -> Vec<(&'a str, Field<'a>)> {
-        let members = self.members;
-        let mut out = Vec::new();
-        for (i, (k, v)) in members.iter().enumerate() {
-            if !std::mem::replace(&mut self.read[i], true) {
-                out.push((k.as_str(), self.child(k, v)));
-            }
-        }
-        out
+    /// The keys not read yet, in document order.
+    pub fn unread_keys(&self) -> Vec<String> {
+        let unread = self.members.iter().zip(&self.read).filter(|(_, r)| !**r);
+        unread.map(|((k, _), _)| k.clone()).collect()
     }
 }
 
+type S = &'static str;
+
+/// How a [`Coder`] lays out one object or array when it renders: the text
+/// before the first member, between members, between a key and its value,
+/// and before the closing bracket of a non-empty and of an empty
+/// container.
+#[derive(Debug, Clone, Copy)]
+pub struct Layout([S; 5]);
+
+impl Layout {
+    /// A layout from its five separators, in the order above.
+    pub const fn new(first: S, rest: S, kv: S, end: S, end_empty: S) -> Self {
+        Layout([first, rest, kv, end, end_empty])
+    }
+}
+
+/// Members on one line, `{"a": 1, "b": [2, 3]}`.
+pub const INLINE: Layout = Layout::new("", ", ", ": ", "", "");
+
+/// The rendering half of a [`Coder`].
+#[derive(Debug)]
+pub struct Writer<'w> {
+    out: &'w mut String,
+    layout: Layout,
+    empty: bool,
+}
+
+impl Writer<'_> {
+    /// Starts the next member: separator, then `"key"` and the key/value
+    /// separator for object members.
+    fn next(&mut self, key: Option<&str>) -> &mut String {
+        let [first, rest, kv, ..] = self.layout.0;
+        self.out.push_str(if self.empty { first } else { rest });
+        self.empty = false;
+        if let Some(k) = key {
+            push_json_string(self.out, k);
+            self.out.push_str(kv);
+        }
+        self.out
+    }
+}
+
+/// Codes the members of one object (see [`Coder`]).
+pub type Body<'b> = &'b mut dyn FnMut(&mut Coder<'_, '_>) -> JsonResult;
+
+/// Codes the members of one element `T` of a list, map or optional object.
+pub type Elem<'b, T> = &'b mut dyn FnMut(&mut Coder<'_, '_>, &mut T) -> JsonResult;
+
+/// Renders `body`'s members inside `open` and its closing bracket.
+fn nest(out: &mut String, open: char, layout: Layout, body: Body<'_>) -> JsonResult {
+    out.push(open);
+    let mut c = Coder::Write(Writer {
+        out: &mut *out,
+        layout,
+        empty: true,
+    });
+    body(&mut c)?;
+    let empty = matches!(c, Coder::Write(Writer { empty: true, .. }));
+    out.push_str(layout.0[if empty { 4 } else { 3 }]);
+    out.push(if open == '{' { '}' } else { ']' });
+    Ok(())
+}
+
+/// Decodes one object into a fresh `T` through `body`.
+fn decode<'a, T: Default>(f: &Field<'a>, body: Elem<'_, T>) -> JsonResult<T> {
+    let mut t = T::default();
+    f.object(|o| body(&mut Coder::Read(o), &mut t))?;
+    Ok(t)
+}
+
+fn quote(s: &str) -> String {
+    let mut out = String::new();
+    push_json_string(&mut out, s);
+    out
+}
+
+/// One document's field list, run in either direction: a [`Writer`]
+/// renders each field in call order, an [`ObjReader`] decodes and checks
+/// it. A document type states its fields once, in one `code` function
+/// that both its `to_json` and its `from_json` run, so the two cannot
+/// drift apart.
+#[derive(Debug)]
+pub enum Coder<'a, 'w> {
+    /// Rendering.
+    Write(Writer<'w>),
+    /// Decoding.
+    Read(&'w mut ObjReader<'a>),
+}
+
+impl<'a> Coder<'a, '_> {
+    /// Renders `show(v)` under `key`, or decodes `key` with `read` into `v`.
+    fn member<T>(
+        &mut self,
+        key: &str,
+        v: &mut T,
+        show: impl FnOnce(&T) -> String,
+        read: impl FnOnce(Field<'a>) -> JsonResult<T>,
+    ) -> JsonResult {
+        match self {
+            Coder::Write(w) => w.next(Some(key)).push_str(&show(v)),
+            Coder::Read(r) => *v = read(r.field(key)?)?,
+        }
+        Ok(())
+    }
+
+    /// An exact non-negative integer.
+    pub fn uint<T: Uint>(&mut self, key: &str, v: &mut T) -> JsonResult {
+        self.member(key, v, T::to_string, |f| f.uint())
+    }
+
+    /// An exact non-negative integer within `range`.
+    pub fn within<T: Uint>(
+        &mut self,
+        key: &str,
+        v: &mut T,
+        range: RangeInclusive<T>,
+    ) -> JsonResult {
+        self.member(key, v, T::to_string, |f| {
+            let (n, (lo, hi)) = (f.uint()?, range.clone().into_inner());
+            let bad = || f.err(format!("{n} outside {lo}..={hi}"));
+            range.contains(&n).then_some(n).ok_or_else(bad)
+        })
+    }
+
+    /// A string.
+    pub fn string(&mut self, key: &str, v: &mut String) -> JsonResult {
+        self.member(key, v, |s| quote(s), |f| f.str().map(str::to_owned))
+    }
+
+    /// A string or `null`.
+    pub fn opt_string(&mut self, key: &str, v: &mut Option<String>) -> JsonResult {
+        let show = |v: &Option<String>| v.as_deref().map_or("null".to_owned(), quote);
+        let read = |f: Field<'a>| f.nullable().map(|f| f.str().map(str::to_owned));
+        self.member(key, v, show, |f| read(f).transpose())
+    }
+
+    /// `true` or `false`.
+    pub fn bool(&mut self, key: &str, v: &mut bool) -> JsonResult {
+        self.member(key, v, bool::to_string, |f| match f.value {
+            Json::Bool(b) => Ok(*b),
+            _ => Err(f.expected("true or false")),
+        })
+    }
+
+    /// A `u64` as a lowercase `0x…` string of exactly `digits` hex digits,
+    /// or of the fewest digits when `digits` is 0.
+    pub fn hex(&mut self, key: &str, v: &mut u64, digits: usize) -> JsonResult {
+        let w = digits + 2;
+        self.member(
+            key,
+            v,
+            |v| format!("\"{v:#0w$x}\""),
+            |f| {
+                let s = f.str()?;
+                let hex = s
+                    .strip_prefix("0x")
+                    .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()));
+                match hex.and_then(|h| u64::from_str_radix(h, 16).ok()) {
+                    Some(v) if format!("{v:#0w$x}") == s => Ok(v),
+                    _ => Err(f.expected("a canonical lowercase 0x hex string")),
+                }
+            },
+        )
+    }
+
+    /// A finite `f64` as a string in its shortest display form (`"0.5"`,
+    /// `"1"`) that satisfies `ok`, described as `what` in errors.
+    pub fn decimal(
+        &mut self,
+        key: &str,
+        v: &mut f64,
+        ok: fn(f64) -> bool,
+        what: &str,
+    ) -> JsonResult {
+        self.member(
+            key,
+            v,
+            |v| quote(&v.to_string()),
+            |f| match f.str()?.parse::<f64>() {
+                Ok(v) if v.is_finite() && v.to_string() == f.str()? => ok(v)
+                    .then_some(v)
+                    .ok_or_else(|| f.err(format!("{v} is not {what}"))),
+                _ => Err(f.expected("a canonical decimal string")),
+            },
+        )
+    }
+
+    /// A string from a fixed label set, held as the set's own label.
+    pub fn label(&mut self, key: &str, v: &mut S, set: impl IntoIterator<Item = S>) -> JsonResult {
+        self.member(key, v, |v| quote(v), |f| f.label(set))
+    }
+
+    /// A label from a fixed set, or `null`.
+    pub fn opt_label(
+        &mut self,
+        key: &str,
+        v: &mut Option<S>,
+        set: impl IntoIterator<Item = S>,
+    ) -> JsonResult {
+        let show = |v: &Option<S>| v.map_or("null".to_owned(), quote);
+        self.member(key, v, show, |f| {
+            f.nullable().map(|f| f.label(set)).transpose()
+        })
+    }
+
+    /// A nested object whose members `body` codes.
+    pub fn obj(&mut self, key: &str, layout: Layout, body: Body<'_>) -> JsonResult {
+        match self {
+            Coder::Write(w) => nest(w.next(Some(key)), '{', layout, body),
+            Coder::Read(r) => r.field(key)?.object(|o| body(&mut Coder::Read(o))),
+        }
+    }
+
+    /// An optional nested object: absent when `None`, or `null` when
+    /// `null` is set.
+    pub fn opt_obj<T: Default>(
+        &mut self,
+        key: &str,
+        (null, layout): (bool, Layout),
+        v: &mut Option<T>,
+        body: Elem<'_, T>,
+    ) -> JsonResult {
+        match (self, v.as_mut()) {
+            (Coder::Write(w), Some(t)) => nest(w.next(Some(key)), '{', layout, &mut |c| body(c, t)),
+            (Coder::Write(w), None) if null => {
+                w.next(Some(key)).push_str("null");
+                Ok(())
+            }
+            (Coder::Write(_), None) => Ok(()),
+            (Coder::Read(r), _) => {
+                let field = if null {
+                    r.field(key)?.nullable()
+                } else {
+                    r.opt(key)
+                };
+                *v = field.map(|f| decode(&f, body)).transpose()?;
+                Ok(())
+            }
+        }
+    }
+
+    /// An array of objects, each laid out as `item` and coded by `body`.
+    pub fn list<T: Default>(
+        &mut self,
+        key: &str,
+        (layout, item): (Layout, Layout),
+        v: &mut Vec<T>,
+        body: Elem<'_, T>,
+    ) -> JsonResult {
+        match self {
+            Coder::Write(w) => nest(w.next(Some(key)), '[', layout, &mut |c| {
+                let Coder::Write(w) = c else {
+                    unreachable!("a writer nests writers")
+                };
+                let mut each = |t: &mut T| nest(w.next(None), '{', item, &mut |c| body(c, t));
+                v.iter_mut().try_for_each(&mut each)
+            }),
+            Coder::Read(r) => {
+                let items = r.field(key)?.items()?;
+                *v = items
+                    .iter()
+                    .map(|f| decode(f, body))
+                    .collect::<JsonResult<_>>()?;
+                Ok(())
+            }
+        }
+    }
+
+    /// An array of exact non-negative integers.
+    pub fn uints(&mut self, key: &str, layout: Layout, v: &mut Vec<u64>) -> JsonResult {
+        match self {
+            Coder::Write(w) => nest(w.next(Some(key)), '[', layout, &mut |c| {
+                let Coder::Write(w) = c else {
+                    unreachable!("a writer nests writers")
+                };
+                v.iter().for_each(|n| w.next(None).push_str(&n.to_string()));
+                Ok(())
+            }),
+            Coder::Read(r) => {
+                let items = r.field(key)?.items()?;
+                *v = items.iter().map(Field::uint).collect::<JsonResult<_>>()?;
+                Ok(())
+            }
+        }
+    }
+
+    /// An object used as an ordered map: `body` codes each value under
+    /// its own key, which it reads from the pair.
+    pub fn map<T: Default>(
+        &mut self,
+        key: &str,
+        layout: Layout,
+        v: &mut Vec<(String, T)>,
+        body: Elem<'_, (String, T)>,
+    ) -> JsonResult {
+        match self {
+            Coder::Write(w) => nest(w.next(Some(key)), '{', layout, &mut |c| {
+                v.iter_mut().try_for_each(|pair| body(c, pair))
+            }),
+            Coder::Read(r) => r.field(key)?.object(|o| {
+                let mut pairs = o.unread_keys().into_iter().map(|k| (k, T::default()));
+                *v = pairs.by_ref().collect();
+                v.iter_mut()
+                    .try_for_each(|pair| body(&mut Coder::Read(o), pair))
+            }),
+        }
+    }
+
+    /// Unless `ok`, a decoding error about `key` — a derived field that
+    /// does not match what it derives from. Rendering never fails.
+    pub fn check(&mut self, key: &str, ok: bool, msg: impl FnOnce() -> String) -> JsonResult {
+        match self {
+            Coder::Read(r) if !ok => Err(r.err(key, msg())),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// Renders a document: `{`, a `schema` member when one is given, `body`'s
+/// members, and `}`.
+pub fn render_json(schema: Option<S>, layout: Layout, body: Body<'_>) -> String {
+    let mut out = String::new();
+    let rendered = nest(&mut out, '{', layout, &mut |c| {
+        if let Some(s) = schema {
+            c.label("schema", &mut { s }, [s])?;
+        }
+        body(c)
+    });
+    rendered.expect("rendering never fails");
+    out
+}
+
 /// Decodes one schema-tagged document: parses `text`, requires its
-/// `schema` member to be `schema`, reads the other members through
-/// `body`, and rejects any member `body` left unread.
+/// `schema` member to be `schema`, decodes the other members through
+/// `body`, and rejects any member `body` did not read.
 ///
 /// # Errors
 ///
 /// A syntax error (empty path) or the first field that is missing,
 /// mistyped, out of range, non-canonical, duplicated or unknown.
-pub fn read_document<T>(
-    text: &str,
-    schema: &str,
-    body: impl FnOnce(&mut ObjReader<'_>) -> Result<T, JsonError>,
-) -> Result<T, JsonError> {
-    let doc = parse_json(text).map_err(|msg| JsonError {
-        path: String::new(),
-        msg,
-    })?;
+pub fn read_document(text: &str, schema: S, body: Body<'_>) -> JsonResult {
+    let doc = parse_json(text).map_err(|msg| Field::root(&Json::Null).err(msg))?;
     Field::root(&doc).object(|o| {
-        let tag = o.field("schema")?;
-        if tag.str()? != schema {
-            return Err(tag.err(format!(
-                "unsupported {} (want {schema:?})",
-                describe(tag.value)
-            )));
-        }
-        body(o)
+        let mut c = Coder::Read(o);
+        c.label("schema", &mut { schema }, [schema])?;
+        body(&mut c)
     })
 }
 

@@ -72,8 +72,8 @@ pub use event::{
 pub use hash::{fnv1a, Fnv1a, FNV_OFFSET, FNV_PRIME};
 pub use hist::{Histogram, NUM_BUCKETS, SUB_BITS};
 pub use json::{
-    parse_json, read_document, validate_chrome_trace, ChromeSummary, Field, Json, JsonError,
-    ObjReader,
+    parse_json, read_document, render_json, validate_chrome_trace, Body, ChromeSummary, Coder,
+    Elem, Field, Json, JsonError, JsonResult, Layout, ObjReader, Uint, Writer, INLINE,
 };
 pub use manifest::{
     diff_manifests, median, BenchStats, DiffOptions, DiffReport, Manifest, MANIFEST_SCHEMA,

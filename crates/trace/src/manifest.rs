@@ -23,8 +23,7 @@
 //! numbers, because a `u64` hash does not survive the round trip through
 //! an `f64` intact.
 
-use crate::chrome::push_json_string;
-use crate::json::{read_document, Field, JsonError};
+use crate::json::{read_document, render_json, Coder, JsonError, JsonResult, Layout};
 use crate::perf::WorkerLoad;
 
 /// Manifest schema identifier (bump on breaking layout changes).
@@ -105,149 +104,70 @@ pub struct Manifest {
     pub bench: Option<BenchStats>,
 }
 
-fn push_hex(out: &mut String, v: u64) {
-    out.push_str(&format!("\"{v:#018x}\""));
-}
+/// The manifest's top level: one section per line.
+const SECTIONS: Layout = Layout::new("\n", ",\n", ":", "\n", "\n");
+
+/// A section's members on one line, without spaces.
+const COMPACT: Layout = Layout::new("", ",", ":", "", "");
 
 impl Manifest {
     /// The sim-deterministic section as JSON — the exact bytes embedded in
     /// [`Manifest::to_json`], exposed separately so tests and CI can
     /// assert byte-identity across invocations and `--jobs` values.
     pub fn sim_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"hashes\":{");
-        for (i, (k, v)) in self.sim_hashes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_string(&mut out, k);
-            out.push(':');
-            push_hex(&mut out, *v);
-        }
-        out.push_str("},\"metrics_digest\":");
-        push_hex(&mut out, self.metrics_digest);
-        out.push('}');
-        out
+        render_json(None, COMPACT, &mut |c| self.clone().code_sim(c))
+    }
+
+    fn code_sim(&mut self, c: &mut Coder<'_, '_>) -> JsonResult {
+        let hashes = &mut self.sim_hashes;
+        c.map("hashes", COMPACT, hashes, &mut |c, (k, v)| c.hex(k, v, 16))?;
+        c.hex("metrics_digest", &mut self.metrics_digest, 16)
+    }
+
+    /// The manifest's fields, in document order (see [`Coder`]).
+    /// `bench.reps` must equal the number of `wall_ns` samples it
+    /// summarises.
+    fn code(&mut self, c: &mut Coder<'_, '_>) -> JsonResult {
+        c.string("command", &mut self.command)?;
+        c.map("config", COMPACT, &mut self.config, &mut |c, (k, v)| {
+            c.string(k, v)
+        })?;
+        c.obj("sim", COMPACT, &mut |c| self.code_sim(c))?;
+        c.map("host", COMPACT, &mut self.host, &mut |c, (k, v)| {
+            c.uint(k, v)
+        })?;
+        c.opt_obj("bench", (false, COMPACT), &mut self.bench, &mut |c, b| {
+            let mut reps = b.reps();
+            c.uint("reps", &mut reps)?;
+            c.uint("warmup", &mut b.warmup)?;
+            c.uints("wall_ns", COMPACT, &mut b.wall_ns)?;
+            c.uint("median_ns", &mut b.median_ns)?;
+            c.uint("mad_ns", &mut b.mad_ns)?;
+            c.uint("min_ns", &mut b.min_ns)?;
+            let samples = b.reps();
+            c.check("reps", reps == samples, || {
+                format!("{reps} does not match the {samples} wall_ns samples")
+            })
+        })
     }
 
     /// Renders the manifest as a JSON document (one top-level section per
     /// line; deterministic given identical contents).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n\"schema\":");
-        push_json_string(&mut out, MANIFEST_SCHEMA);
-        out.push_str(",\n\"command\":");
-        push_json_string(&mut out, &self.command);
-        out.push_str(",\n\"config\":{");
-        for (i, (k, v)) in self.config.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_string(&mut out, k);
-            out.push(':');
-            push_json_string(&mut out, v);
-        }
-        out.push_str("},\n\"sim\":");
-        out.push_str(&self.sim_json());
-        out.push_str(",\n\"host\":{");
-        for (i, (k, v)) in self.host.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_string(&mut out, k);
-            out.push(':');
-            out.push_str(&v.to_string());
-        }
-        out.push('}');
-        if let Some(b) = &self.bench {
-            out.push_str(",\n\"bench\":{\"reps\":");
-            out.push_str(&b.reps().to_string());
-            out.push_str(",\"warmup\":");
-            out.push_str(&b.warmup.to_string());
-            out.push_str(",\"wall_ns\":[");
-            for (i, ns) in b.wall_ns.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&ns.to_string());
-            }
-            out.push_str("],\"median_ns\":");
-            out.push_str(&b.median_ns.to_string());
-            out.push_str(",\"mad_ns\":");
-            out.push_str(&b.mad_ns.to_string());
-            out.push_str(",\"min_ns\":");
-            out.push_str(&b.min_ns.to_string());
-            out.push('}');
-        }
-        out.push_str("\n}\n");
-        out
+        let body = &mut |c: &mut Coder<'_, '_>| self.clone().code(c);
+        render_json(Some(MANIFEST_SCHEMA), SECTIONS, body) + "\n"
     }
 
     /// Decodes a manifest rendered by [`Manifest::to_json`] (key order is
-    /// kept, so decode-then-render round-trips). `bench.reps` must equal
-    /// the number of `wall_ns` samples it summarises.
+    /// kept, so decode-then-render round-trips).
     ///
     /// # Errors
     ///
     /// A [`JsonError`] naming the first bad field.
     pub fn from_json(text: &str) -> Result<Manifest, JsonError> {
-        read_document(text, MANIFEST_SCHEMA, |o| {
-            let command = o.field("command")?.str()?.to_owned();
-            let config = o.field("config")?.object(|c| {
-                c.rest()
-                    .into_iter()
-                    .map(|(k, v)| Ok((k.to_owned(), v.str()?.to_owned())))
-                    .collect()
-            })?;
-            let (sim_hashes, metrics_digest) = o.field("sim")?.object(|sim| {
-                let hashes = sim.field("hashes")?.object(|h| {
-                    h.rest()
-                        .into_iter()
-                        .map(|(k, v)| Ok((k.to_owned(), v.hex(16)?)))
-                        .collect()
-                })?;
-                Ok((hashes, sim.field("metrics_digest")?.hex(16)?))
-            })?;
-            let host = o.field("host")?.object(|h| {
-                h.rest()
-                    .into_iter()
-                    .map(|(k, v)| Ok((k.to_owned(), v.uint()?)))
-                    .collect()
-            })?;
-            let bench = match o.opt("bench") {
-                None => None,
-                Some(b) => Some(b.object(|b| {
-                    let reps = b.field("reps")?;
-                    let stats = BenchStats {
-                        warmup: b.field("warmup")?.uint()?,
-                        wall_ns: b
-                            .field("wall_ns")?
-                            .items()?
-                            .iter()
-                            .map(Field::uint)
-                            .collect::<Result<_, _>>()?,
-                        median_ns: b.field("median_ns")?.uint()?,
-                        mad_ns: b.field("mad_ns")?.uint()?,
-                        min_ns: b.field("min_ns")?.uint()?,
-                    };
-                    let n: u64 = reps.uint()?;
-                    if n != stats.reps() {
-                        return Err(reps.err(format!(
-                            "{n} does not match the {} wall_ns samples",
-                            stats.reps()
-                        )));
-                    }
-                    Ok(stats)
-                })?),
-            };
-            Ok(Manifest {
-                command,
-                config,
-                sim_hashes,
-                metrics_digest,
-                host,
-                bench,
-            })
-        })
+        let mut m = Manifest::default();
+        read_document(text, MANIFEST_SCHEMA, &mut |c| m.code(c))?;
+        Ok(m)
     }
 
     /// Looks up a named content hash.

@@ -333,14 +333,14 @@ fn edited_documents_fail_with_the_field_path() {
             &rendered_repro,
             "{\"at\": 1, \"core\": 0,",
             "{\"at\": 1, \"core\": 7,",
-            "faults[0].core: 7 out of range (limit 2)",
+            "faults[0].core: 7 outside 0..=1",
             replay,
         ),
         (
             &rendered_repro,
             "\"generations\": 1",
             "\"generations\": 0",
-            "generations: must be positive",
+            "generations: 0 outside 1..=4294967295",
             replay,
         ),
         (
