@@ -150,6 +150,21 @@ where
     if faults.is_empty() {
         return Err(CkptError::EmptyCampaign.into());
     }
+    for f in faults {
+        if let FaultKind::MemBitFlip { addr, .. }
+        | FaultKind::MemBurst { addr, .. }
+        | FaultKind::StuckAt { addr, .. } = f.kind
+        {
+            if addr.byte() >= program.mem_bytes() {
+                let what = format!(
+                    "fault address {:#x} lies outside the {}-byte memory image",
+                    addr.byte(),
+                    program.mem_bytes()
+                );
+                return Err(CkptError::Unsupported { what }.into());
+            }
+        }
+    }
     let ctx = CaseCtx::new(program, machine, cfg, &policy)?;
     let (record, bundle) = run_fault_case(&ctx, case_index, faults);
     Ok(bundle.map(|bundle| {

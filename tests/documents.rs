@@ -311,7 +311,14 @@ fn edited_documents_fail_with_the_field_path() {
     let rendered_bundle = bundle().to_json();
     // (document, text to replace, replacement, expected output fragment)
     type Run = fn(&str, &str) -> String;
-    let probes: [(&str, &str, &str, &str, Run); 10] = [
+    let probes: [(&str, &str, &str, &str, Run); 11] = [
+        (
+            &rendered_repro,
+            "\"addr\": \"0x80\"",
+            "\"addr\": \"0xfffffff8\"",
+            "fault address 0xfffffff8 lies outside the",
+            replay,
+        ),
         (
             &rendered_repro,
             "\n  \"checkpoints\": 4,",
