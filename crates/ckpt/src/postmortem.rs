@@ -356,7 +356,7 @@ impl PostmortemBundle {
             c.uint("lifetime_omitted", &mut self.lifetime_omitted)?;
             c.uint("intervals_dropped", &mut self.intervals_dropped)?;
             let tail = &mut self.intervals_tail;
-            c.list("intervals_tail", (INLINE, INLINE), tail, &mut |c, iv| {
+            c.list("intervals_tail", INLINE, INLINE, tail, &mut |c, iv| {
                 c.uint("epoch", &mut iv.epoch)?;
                 c.uint("progress", &mut iv.progress)?;
                 c.uint("records", &mut iv.records)?;
@@ -367,18 +367,14 @@ impl PostmortemBundle {
         })?;
         c.obj("escalation", INLINE, &mut |c| {
             c.uint("exhausted", &mut self.escalation_exhausted)?;
-            c.list(
-                "steps",
-                (INLINE, INLINE),
-                &mut self.escalation,
-                &mut |c, s| {
-                    c.uint("detected_at_cycles", &mut s.detected_at_cycles)?;
-                    c.uint("safe_epoch", &mut s.safe_epoch)?;
-                    c.uint("replay_retries", &mut s.replay_retries)?;
-                    c.uint("generation_fallbacks", &mut s.generation_fallbacks)?;
-                    c.bool("degraded_entered", &mut s.degraded_entered)
-                },
-            )
+            let steps = &mut self.escalation;
+            c.list("steps", INLINE, INLINE, steps, &mut |c, s| {
+                c.uint("detected_at_cycles", &mut s.detected_at_cycles)?;
+                c.uint("safe_epoch", &mut s.safe_epoch)?;
+                c.uint("replay_retries", &mut s.replay_retries)?;
+                c.uint("generation_fallbacks", &mut s.generation_fallbacks)?;
+                c.bool("degraded_entered", &mut s.degraded_entered)
+            })
         })?;
         let inv = &mut self.invariants;
         c.obj("invariants", INLINE, &mut |c| {
@@ -395,7 +391,7 @@ impl PostmortemBundle {
                 })
             })?;
             let first = &mut inv.first_breach;
-            c.opt_obj("first_breach", (true, INLINE), first, &mut |c, b| {
+            c.opt_obj("first_breach", true, INLINE, first, &mut |c, b| {
                 c.label("monitor", &mut b.monitor, names)?;
                 c.uint("epoch", &mut b.epoch)?;
                 c.uint("cycle", &mut b.cycle)?;
@@ -406,12 +402,12 @@ impl PostmortemBundle {
                 format!("{breaches} does not match the monitors' {total}")
             })
         })?;
-        c.list("rings", (RINGS, INLINE), &mut self.rings, &mut |c, r| {
+        c.list("rings", RINGS, INLINE, &mut self.rings, &mut |c, r| {
             c.string("track", &mut r.track)?;
             c.uint("capacity", &mut r.capacity)?;
             c.uint("total", &mut r.total)?;
             c.uint("dropped", &mut r.dropped)?;
-            c.list("events", (EVENTS, INLINE), &mut r.events, &mut |c, ev| {
+            c.list("events", EVENTS, INLINE, &mut r.events, &mut |c, ev| {
                 let kinds = [EventKind::Span, EventKind::Instant, EventKind::Counter];
                 c.label("kind", &mut ev.kind, kinds.map(kind_label))?;
                 c.string("name", &mut ev.name)?;

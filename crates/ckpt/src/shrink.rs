@@ -577,7 +577,7 @@ impl ReproDoc {
         c.string("probable_cause", &mut self.probable_cause)?;
         c.uint("original_faults", &mut self.original_faults)?;
         let cores = self.threads;
-        c.list("faults", (BLOCK, INLINE), &mut self.faults, &mut |c, f| {
+        c.list("faults", BLOCK, INLINE, &mut self.faults, &mut |c, f| {
             code_fault(c, f, cores)
         })
     }

@@ -318,7 +318,7 @@ impl SoakCursor {
         c.uint("chunk_cases", &mut self.chunk_cases)?;
         c.hex("fingerprint", &mut self.fingerprint, 16)?;
         c.uint("chunks_done", &mut self.chunks_done)?;
-        c.list("cells", (BLOCK, INLINE), &mut self.cells, &mut |c, cell| {
+        c.list("cells", BLOCK, INLINE, &mut self.cells, &mut |c, cell| {
             c.string("key", &mut cell.key)?;
             c.uint("cases", &mut cell.cases)?;
             c.uint("recovered", &mut cell.recovered)?;

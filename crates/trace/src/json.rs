@@ -340,14 +340,18 @@ pub struct Field<'a> {
 impl<'a> Field<'a> {
     /// The whole document.
     pub fn root(value: &'a Json) -> Self {
-        let path = String::new();
-        Field { value, path }
+        Field {
+            value,
+            path: String::new(),
+        }
     }
 
     /// An error about this field.
-    pub fn err(&self, msg: impl Into<String>) -> JsonError {
-        let (path, msg) = (self.path.clone(), msg.into());
-        JsonError { path, msg }
+    fn err(&self, msg: impl Into<String>) -> JsonError {
+        JsonError {
+            path: self.path.clone(),
+            msg: msg.into(),
+        }
     }
 
     fn expected(&self, what: &str) -> JsonError {
@@ -364,12 +368,12 @@ impl<'a> Field<'a> {
     }
 
     /// A string.
-    pub fn str(&self) -> JsonResult<&'a str> {
+    fn str(&self) -> JsonResult<&'a str> {
         self.value.as_str().ok_or_else(|| self.expected("a string"))
     }
 
     /// An exact canonical integer literal, narrowed to `T`.
-    pub fn uint<T: TryFrom<u64>>(&self) -> JsonResult<T> {
+    fn uint<T: TryFrom<u64>>(&self) -> JsonResult<T> {
         let Json::Int(n) = *self.value else {
             return Err(self.expected("a non-negative integer"));
         };
@@ -378,19 +382,20 @@ impl<'a> Field<'a> {
     }
 
     /// A string from a fixed label set, as the set's own label.
-    pub fn label(&self, set: impl IntoIterator<Item = &'static str>) -> JsonResult<&'static str> {
-        let (s, set): (_, Vec<_>) = (self.str()?, set.into_iter().collect());
+    fn label(&self, set: impl IntoIterator<Item = &'static str>) -> JsonResult<&'static str> {
+        let s = self.str()?;
+        let set: Vec<&'static str> = set.into_iter().collect();
         let found = set.iter().find(|l| **l == s).copied();
         found.ok_or_else(|| self.err(format!("{s:?} is not one of {}", set.join("|"))))
     }
 
     /// `None` for `null`, the field itself otherwise.
-    pub fn nullable(self) -> Option<Self> {
+    fn nullable(self) -> Option<Self> {
         (*self.value != Json::Null).then_some(self)
     }
 
     /// The elements of an array, each with its indexed path.
-    pub fn items(&self) -> JsonResult<Vec<Field<'a>>> {
+    fn items(&self) -> JsonResult<Vec<Field<'a>>> {
         let items = self
             .value
             .as_arr()
@@ -411,11 +416,10 @@ impl<'a> Field<'a> {
         let Json::Obj(members) = self.value else {
             return Err(self.expected("an object"));
         };
-        let (path, read) = (self.path.clone(), vec![false; members.len()]);
         let mut r = ObjReader {
             members,
-            path,
-            read,
+            path: self.path.clone(),
+            read: vec![false; members.len()],
         };
         let mut seen = BTreeSet::new();
         if let Some((k, _)) = members.iter().find(|(k, _)| !seen.insert(k.as_str())) {
@@ -447,24 +451,24 @@ impl<'a> ObjReader<'a> {
     }
 
     /// An error about the member `key`.
-    pub fn err(&self, key: &str, msg: impl Into<String>) -> JsonError {
+    fn err(&self, key: &str, msg: impl Into<String>) -> JsonError {
         self.child(key, &Json::Null).err(msg)
     }
 
     /// An optional member, marked read.
-    pub fn opt(&mut self, key: &str) -> Option<Field<'a>> {
+    fn opt(&mut self, key: &str) -> Option<Field<'a>> {
         let i = self.members.iter().position(|(k, _)| k == key)?;
         self.read[i] = true;
         Some(self.child(key, &self.members[i].1))
     }
 
     /// A required member, marked read.
-    pub fn field(&mut self, key: &str) -> JsonResult<Field<'a>> {
+    fn field(&mut self, key: &str) -> JsonResult<Field<'a>> {
         self.opt(key).ok_or_else(|| self.err(key, "missing"))
     }
 
     /// The keys not read yet, in document order.
-    pub fn unread_keys(&self) -> Vec<String> {
+    fn unread_keys(&self) -> Vec<String> {
         let unread = self.members.iter().zip(&self.read).filter(|(_, r)| !**r);
         unread.map(|((k, _), _)| k.clone()).collect()
     }
@@ -588,9 +592,13 @@ impl<'a> Coder<'a, '_> {
         range: RangeInclusive<T>,
     ) -> JsonResult {
         self.member(key, v, T::to_string, |f| {
-            let (n, (lo, hi)) = (f.uint()?, range.clone().into_inner());
-            let bad = || f.err(format!("{n} outside {lo}..={hi}"));
-            range.contains(&n).then_some(n).ok_or_else(bad)
+            let n: T = f.uint()?;
+            if range.contains(&n) {
+                Ok(n)
+            } else {
+                let (lo, hi) = range.into_inner();
+                Err(f.err(format!("{n} outside {lo}..={hi}")))
+            }
         })
     }
 
@@ -648,11 +656,15 @@ impl<'a> Coder<'a, '_> {
             key,
             v,
             |v| quote(&v.to_string()),
-            |f| match f.str()?.parse::<f64>() {
-                Ok(v) if v.is_finite() && v.to_string() == f.str()? => ok(v)
-                    .then_some(v)
-                    .ok_or_else(|| f.err(format!("{v} is not {what}"))),
-                _ => Err(f.expected("a canonical decimal string")),
+            |f| {
+                let s = f.str()?;
+                match s.parse::<f64>() {
+                    Ok(x) if x.is_finite() && x.to_string() == s && ok(x) => Ok(x),
+                    Ok(x) if x.is_finite() && x.to_string() == s => {
+                        Err(f.err(format!("{x} is not {what}")))
+                    }
+                    _ => Err(f.expected("a canonical decimal string")),
+                }
             },
         )
     }
@@ -688,7 +700,8 @@ impl<'a> Coder<'a, '_> {
     pub fn opt_obj<T: Default>(
         &mut self,
         key: &str,
-        (null, layout): (bool, Layout),
+        null: bool,
+        layout: Layout,
         v: &mut Option<T>,
         body: Elem<'_, T>,
     ) -> JsonResult {
@@ -715,7 +728,8 @@ impl<'a> Coder<'a, '_> {
     pub fn list<T: Default>(
         &mut self,
         key: &str,
-        (layout, item): (Layout, Layout),
+        layout: Layout,
+        item: Layout,
         v: &mut Vec<T>,
         body: Elem<'_, T>,
     ) -> JsonResult {
@@ -770,8 +784,11 @@ impl<'a> Coder<'a, '_> {
                 v.iter_mut().try_for_each(|pair| body(c, pair))
             }),
             Coder::Read(r) => r.field(key)?.object(|o| {
-                let mut pairs = o.unread_keys().into_iter().map(|k| (k, T::default()));
-                *v = pairs.by_ref().collect();
+                *v = o
+                    .unread_keys()
+                    .into_iter()
+                    .map(|k| (k, T::default()))
+                    .collect();
                 v.iter_mut()
                     .try_for_each(|pair| body(&mut Coder::Read(o), pair))
             }),
@@ -934,6 +951,29 @@ mod tests {
         assert_eq!(arr[3], Json::Null);
         assert_eq!(arr[4].as_str(), Some("x\nA"));
         assert_eq!(v.get("b"), Some(&Json::Obj(vec![])));
+    }
+
+    #[test]
+    fn integer_literals_are_exact_and_read_as_f64_as_before() {
+        for text in [
+            "0",
+            "42",
+            "9007199254740993",
+            "16045690984833335023",
+            "18446744073709551615",
+        ] {
+            let n: u64 = text.parse().unwrap();
+            let v = parse_json(text).unwrap();
+            assert_eq!(v, Json::Int(n), "{text}");
+            assert_eq!(v.as_u64(), Some(n));
+            assert_eq!(v.as_f64(), Some(text.parse::<f64>().unwrap()), "{text}");
+        }
+        // Non-canonical, negative, fractional and oversized literals stay
+        // `f64`s, which the strict reader refuses as integers.
+        for text in ["007", "-1", "2.5", "1e3", "18446744073709551616"] {
+            let v = parse_json(text).unwrap();
+            assert_eq!(v, Json::Num(text.parse().unwrap()), "{text}");
+        }
     }
 
     #[test]

@@ -136,7 +136,7 @@ impl Manifest {
         c.map("host", COMPACT, &mut self.host, &mut |c, (k, v)| {
             c.uint(k, v)
         })?;
-        c.opt_obj("bench", (false, COMPACT), &mut self.bench, &mut |c, b| {
+        c.opt_obj("bench", false, COMPACT, &mut self.bench, &mut |c, b| {
             let mut reps = b.reps();
             c.uint("reps", &mut reps)?;
             c.uint("warmup", &mut b.warmup)?;
