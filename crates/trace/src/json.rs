@@ -82,7 +82,9 @@ impl Json {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
+    /// Byte offset of the next unread character (always on a character
+    /// boundary).
     pos: usize,
 }
 
@@ -92,13 +94,13 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -111,7 +113,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             Ok(value)
         } else {
@@ -229,6 +231,9 @@ impl<'a> Parser<'a> {
                                     self.pos += 1;
                                     self.expect(b'u')?;
                                     let lo = self.hex4()?;
+                                    if !(0xDC00..0xE000).contains(&lo) {
+                                        return Err(self.err("bad low surrogate"));
+                                    }
                                     0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
                                 } else {
                                     return Err(self.err("lone surrogate"));
@@ -243,35 +248,62 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
+                Some(0..=0x1f) => return Err(self.err("unescaped control character")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain characters up to the next
+                    // quote, escape or control character.
+                    let rest = &self.text[self.pos..];
+                    let run = rest
+                        .find(|c: char| matches!(c, '"' | '\\' | '\0'..='\x1f'))
+                        .unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
     }
 
+    /// Consumes one or more ASCII digits.
+    fn digits(&mut self) -> Result<(), String> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            Err(self.err("bad number"))
+        } else {
+            Ok(())
+        }
+    }
+
+    /// An RFC 8259 number: `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]?
+    /// [0-9]+)?`. A non-negative integer that fits is an exact
+    /// [`Json::Int`], anything else an `f64`.
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            _ => self.digits()?,
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        let canonical =
-            text.bytes().all(|b| b.is_ascii_digit()) && (text == "0" || !text.starts_with('0'));
-        if let Some(n) = canonical.then(|| text.parse::<u64>().ok()).flatten() {
-            return Ok(Json::Int(n));
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            self.digits()?;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.digits()?;
+        }
+        let text = &self.text[start..self.pos];
+        if text.bytes().all(|b| b.is_ascii_digit()) {
+            if let Ok(n) = text.parse::<u64>() {
+                return Ok(Json::Int(n));
+            }
         }
         text.parse::<f64>()
             .map(Json::Num)
@@ -286,13 +318,10 @@ impl<'a> Parser<'a> {
 /// Returns a human-readable message with the byte offset of the first
 /// syntax error.
 pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { text, pos: 0 };
     let v = p.value(0)?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != text.len() {
         return Err(p.err("trailing garbage"));
     }
     Ok(v)
@@ -968,9 +997,17 @@ mod tests {
             assert_eq!(v.as_u64(), Some(n));
             assert_eq!(v.as_f64(), Some(text.parse::<f64>().unwrap()), "{text}");
         }
-        // Non-canonical, negative, fractional and oversized literals stay
+        // Negative, fractional, exponent and oversized literals stay
         // `f64`s, which the strict reader refuses as integers.
-        for text in ["007", "-1", "2.5", "1e3", "18446744073709551616"] {
+        for text in [
+            "-1",
+            "-0",
+            "2.5",
+            "1e3",
+            "1E+3",
+            "0.5e-2",
+            "18446744073709551616",
+        ] {
             let v = parse_json(text).unwrap();
             assert_eq!(v, Json::Num(text.parse().unwrap()), "{text}");
         }
@@ -983,6 +1020,19 @@ mod tests {
         assert!(parse_json("\"abc").is_err());
         assert!(parse_json("{} x").is_err());
         assert!(parse_json("tru").is_err());
+        // Numbers outside the RFC 8259 grammar, alone and inside arrays.
+        for text in [
+            "007", "-01", "1.", ".5", "1e", "1e+", "+1", "-", "0x10", "1.e3",
+        ] {
+            assert!(parse_json(text).is_err(), "{text}");
+            assert!(parse_json(&format!("[{text}]")).is_err(), "[{text}]");
+        }
+        // Raw control characters must be escaped inside strings.
+        for c in ['\0', '\n', '\t', '\u{1f}'] {
+            assert!(parse_json(&format!("\"a{c}b\"")).is_err(), "{c:?}");
+        }
+        // A high surrogate must be followed by a low one.
+        assert!(parse_json("\"\\ud800\\u0041\"").is_err());
     }
 
     #[test]
