@@ -108,7 +108,7 @@ impl ShrinkOutcome {
     }
 }
 
-/// Plans a dense multi-fault case: the seeded [`FaultPlan`] a campaign
+/// Plans a dense multi-fault case: the seeded [`acr_sim::FaultPlan`] a campaign
 /// would spread over `cfg.count` independent cases, taken as *one* case's
 /// fault list. This is how the CLI builds a forced-divergence case worth
 /// shrinking.
