@@ -6,13 +6,13 @@
 
 use std::fmt::Write as _;
 
-use acr::{placement, AddrMapConfig, ExperimentError};
+use acr::{placement, AddrMapConfig, ExperimentError, ExperimentSpec};
 use acr_ckpt::{Scheme, SecondaryStorage};
 use acr_energy::EnergyModel;
 use acr_sim::MachineConfig;
 use acr_workloads::Benchmark;
 
-use crate::{experiment_for, mean, MainRow};
+use crate::{mean, paper_experiment, workload, MainRow};
 
 /// Fig. 1: relative component error rate, 8 %/bit/generation.
 pub fn fig01_report() -> String {
@@ -237,7 +237,7 @@ pub fn table2_report(threads: u32, scale: f64) -> Result<String, ExperimentError
     }
     let _ = writeln!(out);
     for b in Benchmark::ALL {
-        let mut exp = experiment_for(b, threads, scale, Scheme::GlobalCoordinated)?;
+        let mut exp = paper_experiment(b, workload(threads, scale), |spec| spec)?;
         let _ = write!(out, "{:>5}", b.name());
         for t in thresholds {
             let mut spec = exp.spec().clone();
@@ -276,7 +276,7 @@ pub fn fig10_report(threads: u32, scale: f64) -> Result<String, ExperimentError>
         out,
         "== Fig 10: per-interval checkpoint size reduction over time (bt) =="
     );
-    let mut exp = experiment_for(Benchmark::Bt, threads, scale, Scheme::GlobalCoordinated)?;
+    let mut exp = paper_experiment(Benchmark::Bt, workload(threads, scale), |spec| spec)?;
     let mut series: Vec<(usize, Vec<f64>)> = Vec::new();
     for t in thresholds {
         let mut spec = exp.spec().clone();
@@ -327,7 +327,7 @@ pub fn fig11_report(threads: u32, scale: f64) -> Result<String, ExperimentError>
         "bench", "errors", "Ckpt_E", "ReCkpt_E", "tRed%", "edpRed%"
     );
     for b in Benchmark::ALL {
-        let mut exp = experiment_for(b, threads, scale, Scheme::GlobalCoordinated)?;
+        let mut exp = paper_experiment(b, workload(threads, scale), |spec| spec)?;
         let no = exp.run_no_ckpt()?;
         for errors in 1..=5u32 {
             let c = exp.run_ckpt(errors)?;
@@ -368,10 +368,7 @@ pub fn fig12_report(threads: u32, scale: f64) -> Result<String, ExperimentError>
     );
     for b in Benchmark::ALL {
         for n in counts {
-            let mut exp = experiment_for(b, threads, scale, Scheme::GlobalCoordinated)?;
-            let mut spec = exp.spec().clone();
-            spec.num_checkpoints = n;
-            exp.set_spec(spec);
+            let mut exp = paper_experiment(b, workload(threads, scale), |s| s.with_checkpoints(n))?;
             let no = exp.run_no_ckpt()?;
             let c = exp.run_ckpt(0)?;
             let r = exp.run_reckpt(0)?;
@@ -413,7 +410,7 @@ pub fn scalability_report(scale: f64) -> Result<String, ExperimentError> {
         let mut reds = Vec::new();
         let mut edps = Vec::new();
         for b in Benchmark::ALL {
-            let mut exp = experiment_for(b, threads, scale, Scheme::GlobalCoordinated)?;
+            let mut exp = paper_experiment(b, workload(threads, scale), |spec| spec)?;
             let no = exp.run_no_ckpt()?;
             let c = exp.run_ckpt(0)?;
             let r = exp.run_reckpt(0)?;
@@ -469,8 +466,9 @@ pub fn fig13_report(threads: u32, scale: f64) -> Result<String, ExperimentError>
         "bench", "Ckpt_NE", "Ckpt_E", "ReCkpt_NE", "ReCkpt_E"
     );
     for b in Benchmark::ALL {
-        let mut glob = experiment_for(b, threads, scale, Scheme::GlobalCoordinated)?;
-        let mut loc = experiment_for(b, threads, scale, Scheme::LocalCoordinated)?;
+        let wl = workload(threads, scale);
+        let mut glob = paper_experiment(b, wl, |spec| spec)?;
+        let mut loc = paper_experiment(b, wl, |s| s.with_scheme(Scheme::LocalCoordinated))?;
         let ratio = |l: u64, g: u64| l as f64 / g as f64;
         let c_ne = ratio(loc.run_ckpt(0)?.cycles, glob.run_ckpt(0)?.cycles);
         let c_e = ratio(loc.run_ckpt(1)?.cycles, glob.run_ckpt(1)?.cycles);
@@ -500,7 +498,7 @@ pub fn fig13_report(threads: u32, scale: f64) -> Result<String, ExperimentError>
 /// Fig. 10's raw data: the per-interval records of `bt` at its default
 /// threshold as CSV, for plotting.
 pub fn fig10_csv(threads: u32, scale: f64) -> Result<String, ExperimentError> {
-    let mut exp = experiment_for(Benchmark::Bt, threads, scale, Scheme::GlobalCoordinated)?;
+    let mut exp = paper_experiment(Benchmark::Bt, workload(threads, scale), |spec| spec)?;
     let r = exp.run_reckpt(0)?;
     Ok(r.report
         .expect("engine runs carry a report")
@@ -521,12 +519,13 @@ pub fn ablation_addrmap_report(threads: u32, scale: f64) -> Result<String, Exper
     );
     for b in [Benchmark::Is, Benchmark::Ft, Benchmark::Bt] {
         for cap in [64usize, 256, 1024, 4096, 16384] {
-            let mut exp = experiment_for(b, threads, scale, Scheme::GlobalCoordinated)?;
-            let mut spec = exp.spec().clone();
-            spec.addrmap = AddrMapConfig {
+            let addrmap = AddrMapConfig {
                 capacity_per_core: cap,
             };
-            exp.set_spec(spec);
+            let mut exp = paper_experiment(b, workload(threads, scale), |spec| ExperimentSpec {
+                addrmap,
+                ..spec
+            })?;
             let c = exp.run_ckpt(0)?;
             let r = exp.run_reckpt(0)?;
             let rep = r.report.as_ref().expect("engine runs carry a report");
@@ -574,10 +573,10 @@ pub fn ablation_detection_latency_report(
     );
     for b in [Benchmark::Lu, Benchmark::Dc] {
         for frac in [0.1f64, 0.25, 0.5, 0.75, 1.0] {
-            let mut exp = experiment_for(b, threads, scale, Scheme::GlobalCoordinated)?;
-            let mut spec = exp.spec().clone();
-            spec.detection_latency_frac = frac;
-            exp.set_spec(spec);
+            let mut exp = paper_experiment(b, workload(threads, scale), |spec| ExperimentSpec {
+                detection_latency_frac: frac,
+                ..spec
+            })?;
             let r = exp.run_reckpt(2)?;
             let rep = r.report.as_ref().expect("engine runs carry a report");
             let waste: u64 = rep.recoveries.iter().map(|x| x.waste_cycles).sum();
@@ -617,13 +616,14 @@ pub fn ablation_hierarchical_report(threads: u32, scale: f64) -> Result<String, 
     );
     for b in [Benchmark::Is, Benchmark::Ft, Benchmark::Lu] {
         for every in [3u32, 5, 10] {
-            let mut exp = experiment_for(b, threads, scale, Scheme::GlobalCoordinated)?;
-            let mut spec = exp.spec().clone();
-            spec.secondary = Some(SecondaryStorage {
+            let secondary = Some(SecondaryStorage {
                 every,
                 ..Default::default()
             });
-            exp.set_spec(spec);
+            let mut exp = paper_experiment(b, workload(threads, scale), |spec| ExperimentSpec {
+                secondary,
+                ..spec
+            })?;
             let c = exp.run_ckpt(0)?;
             let r = exp.run_reckpt(0)?;
             let bytes = |run: &acr::RunResult| {
@@ -679,11 +679,11 @@ pub fn ablation_scratchpad_report(threads: u32, scale: f64) -> Result<String, Ex
     );
     for b in [Benchmark::Is, Benchmark::Dc, Benchmark::Lu] {
         let run = |scratchpad: bool| {
-            let mut exp = experiment_for(b, threads, scale, Scheme::GlobalCoordinated)?;
-            let mut spec = exp.spec().clone();
-            spec.scratchpad = scratchpad;
-            exp.set_spec(spec);
-            exp.run_reckpt(3)
+            paper_experiment(b, workload(threads, scale), |spec| ExperimentSpec {
+                scratchpad,
+                ..spec
+            })?
+            .run_reckpt(3)
         };
         let rf = run(false)?;
         let sp = run(true)?;
@@ -729,7 +729,7 @@ pub fn ablation_trivial_slices_report(threads: u32, scale: f64) -> Result<String
         "bench", "sliced", "no-arith", "avg_len", "recomp/read"
     );
     for b in Benchmark::ALL {
-        let mut exp = experiment_for(b, threads, scale, Scheme::GlobalCoordinated)?;
+        let mut exp = paper_experiment(b, workload(threads, scale), |spec| spec)?;
         let (_, stats) = exp.instrumented();
         let total_len: u64 = stats
             .length_histogram
@@ -778,7 +778,7 @@ pub fn energy_breakdown_report(threads: u32, scale: f64) -> Result<String, Exper
         "bench", "config", "core", "cache", "dram", "net", "acr", "static", "total"
     );
     for b in [Benchmark::Is, Benchmark::Bt, Benchmark::Cg] {
-        let mut exp = experiment_for(b, threads, scale, Scheme::GlobalCoordinated)?;
+        let mut exp = paper_experiment(b, workload(threads, scale), |spec| spec)?;
         let runs = [exp.run_no_ckpt()?, exp.run_ckpt(0)?, exp.run_reckpt(0)?];
         for r in &runs {
             let e = &r.energy;
@@ -826,7 +826,7 @@ pub fn extension_placement_report(threads: u32, scale: f64) -> Result<String, Ex
         "bench", "uniform_B", "adaptive_B", "bytesImp%", "timeImp%"
     );
     for b in Benchmark::ALL {
-        let mut exp = experiment_for(b, threads, scale, Scheme::GlobalCoordinated)?;
+        let mut exp = paper_experiment(b, workload(threads, scale), |spec| spec)?;
         let outcome = placement::tune(&mut exp, 4)?;
         let _ = writeln!(
             out,

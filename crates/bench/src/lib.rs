@@ -9,30 +9,64 @@
 
 pub mod figures;
 
-use acr::{Experiment, ExperimentError, ExperimentSpec, RunResult};
-use acr_ckpt::Scheme;
+use acr::{sweep, CampaignRunResult, Experiment, ExperimentError, ExperimentSpec, RunResult};
+use acr_ckpt::{CampaignConfig, Scheme};
 use acr_workloads::{generate, Benchmark, WorkloadConfig};
 
 /// Default thread count of the paper's main figures.
 pub const DEFAULT_THREADS: u32 = 8;
 
-/// Builds the experiment for one benchmark with the paper's defaults
-/// (Table I machine, 25 checkpoints, per-benchmark Slice threshold).
-pub fn experiment_for(
+/// The paper's run of `bench`: its program generated at `wl`, on the
+/// Table I machine with one core per thread, 25 checkpoints and the
+/// benchmark's default Slice threshold. `refine` adjusts that spec with
+/// the [`ExperimentSpec`] builders before the experiment is built (a
+/// figure's swept knob, a CLI flag, a trace sink). Every figure, CLI
+/// subcommand and test that turns a workload into a run starts here.
+pub fn paper_experiment(
     bench: Benchmark,
-    threads: u32,
-    scale: f64,
-    scheme: Scheme,
+    wl: WorkloadConfig,
+    refine: impl FnOnce(ExperimentSpec) -> ExperimentSpec,
 ) -> Result<Experiment, ExperimentError> {
-    let wl = WorkloadConfig::default()
-        .with_threads(threads)
-        .with_scale(scale);
-    let program = generate(bench, &wl);
     let spec = ExperimentSpec::default()
-        .with_cores(threads)
-        .with_threshold(bench.default_threshold())
-        .with_scheme(scheme);
-    Experiment::new(program, spec)
+        .with_cores(wl.threads)
+        .with_threshold(bench.default_threshold());
+    Experiment::new(generate(bench, &wl), refine(spec))
+}
+
+/// The generated workload at `threads` threads and `scale`, default seed.
+fn workload(threads: u32, scale: f64) -> WorkloadConfig {
+    WorkloadConfig::default()
+        .with_threads(threads)
+        .with_scale(scale)
+}
+
+/// The fault campaign `acr_cli inject` and `bench` run: `template` split
+/// over `workloads` ([`CampaignConfig::split`]) and each share run on the
+/// workload's [`paper_experiment`] at `wl` through [`sweep`], `jobs`
+/// workers in all (0 = auto). Returns each workload that received faults
+/// with its campaign result and host nanoseconds, in workload order;
+/// every result is byte-identical for every `jobs` value.
+pub fn run_campaigns(
+    workloads: &[Benchmark],
+    wl: WorkloadConfig,
+    template: &CampaignConfig,
+    amnesic: bool,
+    jobs: usize,
+) -> Vec<(Benchmark, Result<CampaignRunResult, ExperimentError>, u64)> {
+    let split = template.split(workloads.len());
+    let runs = sweep(split.len(), jobs, |i, inner| {
+        let (w, cfg) = &split[i];
+        let cfg = CampaignConfig {
+            jobs: inner,
+            ..cfg.clone()
+        };
+        paper_experiment(workloads[*w], wl, |spec| spec)?.run_fault_campaign(&cfg, amnesic)
+    });
+    split
+        .iter()
+        .zip(runs)
+        .map(|((w, _), (run, host_ns))| (workloads[*w], run, host_ns))
+        .collect()
 }
 
 /// The five main configurations for one benchmark (Figs. 6–8).
@@ -60,7 +94,8 @@ impl MainRow {
         scale: f64,
         scheme: Scheme,
     ) -> Result<Self, ExperimentError> {
-        let mut exp = experiment_for(bench, threads, scale, scheme)?;
+        let wl = workload(threads, scale);
+        let mut exp = paper_experiment(bench, wl, |spec| spec.with_scheme(scheme))?;
         Ok(MainRow {
             bench,
             no_ckpt: exp.run_no_ckpt()?,
@@ -151,11 +186,10 @@ fn one(report: Result<String, ExperimentError>) -> Result<Vec<String>, Experimen
 /// JSONL metric samples tagged per workload.
 pub fn sampled_metrics(scale: f64, sample_interval: u64) -> Result<String, ExperimentError> {
     let mut out = String::new();
+    let wl = workload(DEFAULT_THREADS, scale);
     for bench in [Benchmark::Is, Benchmark::Cg, Benchmark::Mg] {
-        let mut exp = experiment_for(bench, DEFAULT_THREADS, scale, Scheme::GlobalCoordinated)?;
-        let mut spec = exp.spec().clone();
-        spec.sample_interval = sample_interval;
-        exp.set_spec(spec);
+        let mut exp =
+            paper_experiment(bench, wl, |spec| spec.with_sample_interval(sample_interval))?;
         let run = exp.run_reckpt(0)?;
         let report = run.report.as_ref().expect("engine runs carry a report");
         out.push_str(

@@ -146,6 +146,31 @@ impl CampaignConfig {
         self.generations
             .max(if self.recovery_faults { 2 } else { 1 })
     }
+
+    /// Splits this campaign over `workloads` workloads, as `acr_cli
+    /// inject` does: the [`CampaignConfig::count`] faults divided evenly,
+    /// the remainder going to the first workloads, workload `i` seeded
+    /// `seed + i`, every other field shared. Returns `(i, campaign)` for
+    /// each workload that receives at least one fault, in workload order.
+    pub fn split(&self, workloads: usize) -> Vec<(usize, CampaignConfig)> {
+        // Past `u32::MAX` workloads every share is zero anyway.
+        let n = u32::try_from(workloads).unwrap_or(u32::MAX);
+        (0..n)
+            .map(|i| (i, self.count / n + u32::from(i < self.count % n)))
+            .filter(|&(_, count)| count > 0)
+            .map(|(i, count)| {
+                let seed = self.seed.wrapping_add(u64::from(i));
+                (
+                    i as usize,
+                    CampaignConfig {
+                        seed,
+                        count,
+                        ..self.clone()
+                    },
+                )
+            })
+            .collect()
+    }
 }
 
 /// Why a campaign could not even start (per-case failures never abort the
@@ -329,6 +354,69 @@ pub(crate) fn fault_detail(kind: FaultKind) -> String {
     }
 }
 
+/// Per-case sums over one campaign ([`CampaignReport::totals`]); `+=`
+/// folds the totals of several campaigns into one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CampaignTotals {
+    /// Faults injected (every planned case injects exactly one).
+    pub injected: u64,
+    /// Cases in which the engine detected the fault and recovered at
+    /// least once.
+    pub detected: u64,
+    /// Cases that converged to the reference state.
+    pub recovered: u64,
+    /// Cases whose final state diverged from the reference.
+    pub diverged: u64,
+    /// Cases the engine could not finish.
+    pub aborted: u64,
+    /// Cases per soak-matrix outcome class
+    /// ([`FaultCaseRecord::outcome_class`]): recovered, due, sdc, hang.
+    pub classes: [u64; 4],
+    /// Recoveries triggered by simulator traps.
+    pub exception_detections: u64,
+    /// Final memory and register words differing from the reference.
+    pub divergent_words: u64,
+    /// Cycles stalled in recovery.
+    pub recovery_stall_cycles: u64,
+    /// Wasted (re-executed) cycles.
+    pub waste_cycles: u64,
+    /// Log records restored (energy accounting input).
+    pub restored_records: u64,
+    /// Values recomputed by Slices (energy accounting input).
+    pub recomputed_values: u64,
+    /// Slice instructions executed while recomputing.
+    pub recompute_alu_ops: u64,
+    /// Recovery re-replay attempts (escalation rung 1).
+    pub replay_retries: u64,
+    /// Checkpoint-generation fallbacks (escalation rung 2).
+    pub generation_fallbacks: u64,
+    /// Degraded full-logging entries (escalation rung 3).
+    pub degraded_entries: u64,
+}
+
+impl std::ops::AddAssign for CampaignTotals {
+    fn add_assign(&mut self, o: CampaignTotals) {
+        self.injected += o.injected;
+        self.detected += o.detected;
+        self.recovered += o.recovered;
+        self.diverged += o.diverged;
+        self.aborted += o.aborted;
+        for (a, b) in self.classes.iter_mut().zip(o.classes) {
+            *a += b;
+        }
+        self.exception_detections += o.exception_detections;
+        self.divergent_words += o.divergent_words;
+        self.recovery_stall_cycles += o.recovery_stall_cycles;
+        self.waste_cycles += o.waste_cycles;
+        self.restored_records += o.restored_records;
+        self.recomputed_values += o.recomputed_values;
+        self.recompute_alu_ops += o.recompute_alu_ops;
+        self.replay_retries += o.replay_retries;
+        self.generation_fallbacks += o.generation_fallbacks;
+        self.degraded_entries += o.degraded_entries;
+    }
+}
+
 /// Aggregate result of one campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignReport {
@@ -366,87 +454,81 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
+    /// Every per-case sum of the campaign, in one pass over the cases.
+    pub fn totals(&self) -> CampaignTotals {
+        let mut t = CampaignTotals::default();
+        for c in &self.cases {
+            t.injected += 1;
+            t.detected += u64::from(c.recoveries > 0);
+            match c.outcome {
+                CaseOutcome::Recovered => t.recovered += 1,
+                CaseOutcome::Diverged => t.diverged += 1,
+                CaseOutcome::Aborted => t.aborted += 1,
+            }
+            let class = match c.outcome_class() {
+                "recovered" => 0,
+                "due" => 1,
+                "sdc" => 2,
+                _ => 3,
+            };
+            t.classes[class] += 1;
+            t.exception_detections += c.exception_detections;
+            t.divergent_words += c.mem_divergence + c.reg_divergence;
+            t.recovery_stall_cycles += c.recovery_stall_cycles;
+            t.waste_cycles += c.waste_cycles;
+            t.restored_records += c.restored_records;
+            t.recomputed_values += c.recomputed_values;
+            t.recompute_alu_ops += c.recompute_alu_ops;
+            t.replay_retries += c.replay_retries;
+            t.generation_fallbacks += c.generation_fallbacks;
+            t.degraded_entries += c.degraded_entries;
+        }
+        t
+    }
+
     /// Faults injected (every planned case injects exactly one).
     pub fn injected(&self) -> u64 {
         self.cases.len() as u64
     }
 
-    /// Cases in which the engine detected the fault and recovered at
-    /// least once.
-    pub fn detected(&self) -> u64 {
-        self.cases.iter().filter(|c| c.recoveries > 0).count() as u64
-    }
-
     /// Cases that converged to the reference state.
     pub fn recovered(&self) -> u64 {
-        self.outcome_count(CaseOutcome::Recovered)
-    }
-
-    /// Cases whose final state diverged from the reference.
-    pub fn diverged(&self) -> u64 {
-        self.outcome_count(CaseOutcome::Diverged)
-    }
-
-    /// Cases the engine could not finish.
-    pub fn aborted(&self) -> u64 {
-        self.outcome_count(CaseOutcome::Aborted)
-    }
-
-    fn outcome_count(&self, o: CaseOutcome) -> u64 {
-        self.cases.iter().filter(|c| c.outcome == o).count() as u64
-    }
-
-    /// Recoveries triggered by simulator traps.
-    pub fn exception_detections(&self) -> u64 {
-        self.cases.iter().map(|c| c.exception_detections).sum()
-    }
-
-    /// Final memory words differing from the reference, summed.
-    pub fn divergent_words(&self) -> u64 {
-        self.cases
-            .iter()
-            .map(|c| c.mem_divergence + c.reg_divergence)
-            .sum()
-    }
-
-    /// Cycles stalled in recovery, summed.
-    pub fn recovery_stall_cycles(&self) -> u64 {
-        self.cases.iter().map(|c| c.recovery_stall_cycles).sum()
+        self.totals().recovered
     }
 
     /// Wasted (re-executed) cycles, summed.
     pub fn waste_cycles(&self) -> u64 {
-        self.cases.iter().map(|c| c.waste_cycles).sum()
+        self.totals().waste_cycles
     }
 
     /// Log records restored, summed (energy accounting input).
     pub fn restored_records(&self) -> u64 {
-        self.cases.iter().map(|c| c.restored_records).sum()
+        self.totals().restored_records
     }
 
     /// Values recomputed by Slices, summed (energy accounting input).
     pub fn recomputed_values(&self) -> u64 {
-        self.cases.iter().map(|c| c.recomputed_values).sum()
+        self.totals().recomputed_values
     }
 
     /// Slice instructions executed while recomputing, summed.
     pub fn recompute_alu_ops(&self) -> u64 {
-        self.cases.iter().map(|c| c.recompute_alu_ops).sum()
+        self.totals().recompute_alu_ops
     }
 
     /// Recovery re-replay attempts, summed (escalation rung 1).
     pub fn replay_retries(&self) -> u64 {
-        self.cases.iter().map(|c| c.replay_retries).sum()
+        self.totals().replay_retries
     }
 
     /// Checkpoint-generation fallbacks, summed (escalation rung 2).
     pub fn generation_fallbacks(&self) -> u64 {
-        self.cases.iter().map(|c| c.generation_fallbacks).sum()
+        self.totals().generation_fallbacks
     }
 
     /// Degraded full-logging entries, summed (escalation rung 3).
     pub fn degraded_entries(&self) -> u64 {
-        self.cases.iter().map(|c| c.degraded_entries).sum()
+        self.totals().degraded_entries
     }
 
     /// Whether any case carried a recovery-window fault (nested-fault
@@ -541,21 +623,6 @@ impl CampaignReport {
         )
     }
 
-    /// Cases per soak-matrix outcome class:
-    /// `(recovered, due, sdc, hang)`.
-    pub fn class_counts(&self) -> (u64, u64, u64, u64) {
-        let mut counts = (0u64, 0u64, 0u64, 0u64);
-        for c in &self.cases {
-            match c.outcome_class() {
-                "recovered" => counts.0 += 1,
-                "due" => counts.1 += 1,
-                "sdc" => counts.2 += 1,
-                _ => counts.3 += 1,
-            }
-        }
-        counts
-    }
-
     /// FNV-1a hash of every campaign datum — two campaigns are equal iff
     /// their hashes are (the determinism check `tests/determinism.rs`
     /// pins). Covers the historical 18-column CSV, so appending
@@ -602,22 +669,18 @@ impl CampaignReport {
             self.num_cores,
             self.total_progress
         );
+        let t = self.totals();
         let _ = writeln!(
             out,
             "  injected {}  detected {}  (via exception: {})",
-            self.injected(),
-            self.detected(),
-            self.exception_detections()
+            t.injected, t.detected, t.exception_detections
         );
         let _ = writeln!(
             out,
             "  recovered {}  diverged {}  aborted {}  divergent_words {}",
-            self.recovered(),
-            self.diverged(),
-            self.aborted(),
-            self.divergent_words()
+            t.recovered, t.diverged, t.aborted, t.divergent_words
         );
-        let (cls_rec, cls_due, cls_sdc, cls_hang) = self.class_counts();
+        let [cls_rec, cls_due, cls_sdc, cls_hang] = t.classes;
         let _ = writeln!(
             out,
             "  classes: recovered {cls_rec}  due {cls_due}  sdc {cls_sdc}  hang {cls_hang}",
@@ -633,10 +696,7 @@ impl CampaignReport {
         let _ = writeln!(
             out,
             "  recovery cost: stall_cycles {}  waste_cycles {}  restored {}  recomputed {}",
-            self.recovery_stall_cycles(),
-            self.waste_cycles(),
-            self.restored_records(),
-            self.recomputed_values()
+            t.recovery_stall_cycles, t.waste_cycles, t.restored_records, t.recomputed_values
         );
         for label in ["reg", "pc", "mem", "burst", "stuck", "crash"] {
             let (total, ok) = self.kind_counts(label);
@@ -648,9 +708,7 @@ impl CampaignReport {
             let _ = writeln!(
                 out,
                 "  escalation: replay_retries {}  generation_fallbacks {}  degraded_entries {}",
-                self.replay_retries(),
-                self.generation_fallbacks(),
-                self.degraded_entries()
+                t.replay_retries, t.generation_fallbacks, t.degraded_entries
             );
             for label in RECOVERY_FAULT_LABELS {
                 let total = self
@@ -1210,21 +1268,48 @@ mod tests {
         run_campaign(&p, MachineConfig::with_cores(2), &cfg, || NoOmission).expect("campaign runs")
     }
 
+    /// The split gives the remainder to the first workloads, seeds
+    /// workload `i` with `seed + i` and drops workloads left without a
+    /// fault.
+    #[test]
+    fn split_divides_faults_and_offsets_seeds() {
+        let template = CampaignConfig {
+            seed: u64::MAX,
+            count: 7,
+            num_checkpoints: 3,
+            ..CampaignConfig::default()
+        };
+        let shares = |n| -> Vec<(usize, u64, u32)> {
+            template
+                .split(n)
+                .into_iter()
+                .map(|(i, c)| (i, c.seed, c.count))
+                .collect()
+        };
+        assert_eq!(shares(3), [(0, u64::MAX, 3), (1, 0, 2), (2, 1, 2)]);
+        assert_eq!(shares(9).len(), 7, "two workloads get no fault");
+        assert!(shares(0).is_empty());
+        assert!(template
+            .split(2)
+            .iter()
+            .all(|(_, c)| c.num_checkpoints == 3));
+    }
+
     #[test]
     fn recoverable_kinds_always_converge() {
         let r = campaign(25, FaultKindSet::recoverable(), 7);
         assert_eq!(r.injected(), 25);
-        assert_eq!(r.detected(), 25, "{}", r.summary());
+        assert_eq!(r.totals().detected, 25, "{}", r.summary());
         assert_eq!(r.recovered(), 25, "{}", r.summary());
-        assert_eq!(r.divergent_words(), 0);
-        assert_eq!(r.aborted(), 0);
+        assert_eq!(r.totals().divergent_words, 0);
+        assert_eq!(r.totals().aborted, 0);
     }
 
     #[test]
     fn mem_faults_are_classified_never_silent() {
         let r = campaign(25, FaultKindSet::all(), 11);
         assert_eq!(r.injected(), 25);
-        assert_eq!(r.aborted(), 0, "{}", r.summary());
+        assert_eq!(r.totals().aborted, 0, "{}", r.summary());
         // Every diverged case must carry visible evidence.
         for c in &r.cases {
             if c.outcome == CaseOutcome::Diverged {
@@ -1448,8 +1533,8 @@ mod tests {
         let a = run_campaign(&p, m, &cfg, || NoOmission).expect("campaign runs");
         assert!(a.has_recovery_faults());
         assert_eq!(a.recovered(), 12, "{}", a.summary());
-        assert_eq!(a.divergent_words(), 0);
-        assert_eq!(a.aborted(), 0);
+        assert_eq!(a.totals().divergent_words, 0);
+        assert_eq!(a.totals().aborted, 0);
         // The nested faults actually bit: escalation is visible, not silent.
         assert!(
             a.replay_retries() + a.generation_fallbacks() > 0,
@@ -1494,8 +1579,9 @@ mod tests {
             ..CampaignConfig::default()
         };
         let a = run_campaign(&p, m, &cfg, || NoOmission).expect("campaign runs");
-        assert!(a.diverged() > 0, "{}", a.summary());
-        assert_eq!(a.postmortems.len() as u64, a.diverged() + a.aborted());
+        assert!(a.totals().diverged > 0, "{}", a.summary());
+        let t = a.totals();
+        assert_eq!(a.postmortems.len() as u64, t.diverged + t.aborted);
         let failed: Vec<u32> = a
             .cases
             .iter()
@@ -1595,7 +1681,7 @@ mod tests {
     fn adversarial_campaigns_classify_without_sdc() {
         let r = campaign(30, FaultKindSet::adversarial(), 23);
         assert_eq!(r.injected(), 30);
-        assert_eq!(r.aborted(), 0, "{}", r.summary());
+        assert_eq!(r.totals().aborted, 0, "{}", r.summary());
         let (burst_total, _) = r.kind_counts("burst");
         let (stuck_total, _) = r.kind_counts("stuck");
         assert!(burst_total > 0 && stuck_total > 0, "{}", r.summary());
@@ -1603,7 +1689,7 @@ mod tests {
             assert_ne!(c.outcome_class(), "sdc", "{c:?}");
             assert_ne!(c.outcome_class(), "hang", "{c:?}");
         }
-        let (cls_rec, cls_due, cls_sdc, cls_hang) = r.class_counts();
+        let [cls_rec, cls_due, cls_sdc, cls_hang] = r.totals().classes;
         assert_eq!(cls_rec + cls_due + cls_sdc + cls_hang, 30);
         assert_eq!(cls_sdc + cls_hang, 0);
         let csv = r.csv();
@@ -1685,7 +1771,7 @@ mod tests {
             assert_eq!(bundle.trigger, "hang");
             assert!(bundle.probable_cause.contains("watchdog"), "{bundle:?}");
         }
-        assert_eq!(r.class_counts().3, hangs.len() as u64);
+        assert_eq!(r.totals().classes[3], hangs.len() as u64);
         assert!(r.metrics.get("campaign.class.hang").unwrap_or(0) == hangs.len() as u64);
     }
 }

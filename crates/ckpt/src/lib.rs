@@ -52,8 +52,8 @@ pub use checkpoint::CheckpointRecord;
 pub use engine::{BerConfig, BerEngine, ResilienceConfig, Scheme, SecondaryStorage};
 pub use errors::CkptError;
 pub use inject::{
-    run_campaign, run_campaign_loads, CampaignConfig, CampaignError, CampaignReport, CaseOutcome,
-    FaultCaseRecord,
+    run_campaign, run_campaign_loads, CampaignConfig, CampaignError, CampaignReport,
+    CampaignTotals, CaseOutcome, FaultCaseRecord,
 };
 pub use ledger::{DecisionLedger, OmitReason, ReplayCost, NUM_REASONS, RANGE_BYTES};
 pub use monitor::{BreachRecord, InvariantSummary, MonitorCounters};

@@ -476,7 +476,7 @@ where
         let combo = &grid.combos[slot];
         let cfg = chunk_config(base, &cursor, combo, chunk);
         let report = run_chunk(combo, &cfg)?;
-        let (recovered, due, sdc, hang) = report.class_counts();
+        let [recovered, due, sdc, hang] = report.totals().classes;
         let cell = &mut cursor.cells[slot];
         cell.cases += report.cases.len() as u64;
         cell.recovered += recovered;

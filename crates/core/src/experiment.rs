@@ -340,19 +340,24 @@ impl Experiment {
         })
     }
 
-    /// The specification (mutable; invalidates caches where needed).
+    /// The specification ([`Experiment::set_spec`] replaces it).
     pub fn spec(&self) -> &ExperimentSpec {
         &self.spec
     }
 
-    /// Replaces the spec. Clears the instrumented-binary cache if the
-    /// threshold changed (the `No_Ckpt` baseline only depends on the
-    /// machine, which callers must keep fixed within one experiment).
+    /// Replaces the spec, dropping each cache the new spec invalidates:
+    /// the instrumented binary when the Slice threshold changes, the
+    /// `No_Ckpt` baseline when the machine, the energy model or the
+    /// profile flag (everything that run reads) changes.
     pub fn set_spec(&mut self, spec: ExperimentSpec) {
         if let Some((t, _, _)) = &self.instrumented {
             if *t != spec.slicer.threshold {
                 self.instrumented = None;
             }
+        }
+        let old = &self.spec;
+        if old.machine != spec.machine || old.energy != spec.energy || old.profile != spec.profile {
+            self.no_ckpt = None;
         }
         self.spec = spec;
     }
@@ -594,11 +599,12 @@ impl Experiment {
         // Energy attributable to recovery alone: log reads, restore
         // writes, Slice recomputation, plus static energy over the stall
         // cycles.
+        let t = report.totals();
         let inputs = EnergyInputs {
-            log_record_reads: report.restored_records(),
-            recovery_word_writes: report.restored_records() + report.recomputed_values(),
-            slice_alu_ops: report.recompute_alu_ops(),
-            cycles: report.recovery_stall_cycles(),
+            log_record_reads: t.restored_records,
+            recovery_word_writes: t.restored_records + t.recomputed_values,
+            slice_alu_ops: t.recompute_alu_ops,
+            cycles: t.recovery_stall_cycles,
             cores: machine.num_cores,
             ..EnergyInputs::default()
         };
@@ -606,7 +612,7 @@ impl Experiment {
         Ok(CampaignRunResult {
             label: label.to_owned(),
             recovery_energy_joules,
-            recovery_seconds: machine.cycles_to_seconds(report.recovery_stall_cycles()),
+            recovery_seconds: machine.cycles_to_seconds(t.recovery_stall_cycles),
             report,
             host_loads,
         })
@@ -943,7 +949,7 @@ mod tests {
         let r = &run.report;
         assert!(r.has_recovery_faults());
         assert_eq!(r.recovered(), 10, "{}", r.summary());
-        assert_eq!(r.divergent_words(), 0);
+        assert_eq!(r.totals().divergent_words, 0);
         assert!(
             r.replay_retries() + r.generation_fallbacks() > 0,
             "{}",
@@ -981,6 +987,42 @@ mod tests {
         let r = exp.run_reckpt(1).unwrap();
         assert_eq!(r.label, "ReCkpt_E,Loc");
         assert_eq!(r.report.as_ref().unwrap().errors_handled, 1);
+    }
+
+    /// A `No_Ckpt` baseline cached under one machine or energy model is
+    /// never served under another: after each `set_spec` the result
+    /// equals a fresh experiment's.
+    #[test]
+    fn set_spec_never_serves_a_stale_baseline() {
+        let fresh = |spec: &ExperimentSpec| {
+            let mut exp = Experiment::new(recomputable_kernel(2, 60), spec.clone()).expect("valid");
+            exp.run_no_ckpt().expect("runs")
+        };
+        let same = |a: &RunResult, b: &RunResult| {
+            assert_eq!(a.cycles, b.cycles);
+            assert_eq!(a.seconds.to_bits(), b.seconds.to_bits());
+            assert_eq!(
+                a.energy.total_joules().to_bits(),
+                b.energy.total_joules().to_bits()
+            );
+        };
+        let mut exp = Experiment::new(recomputable_kernel(2, 60), spec()).expect("valid");
+        let first = exp.run_no_ckpt().expect("runs");
+        // Idle cores leave a two-thread kernel's run alone, so the new
+        // machine also multiplies more slowly.
+        let mut other_machine = spec().with_cores(8);
+        other_machine.machine.mul_latency *= 3;
+        exp.set_spec(other_machine.clone());
+        let moved = exp.run_no_ckpt().expect("runs");
+        same(&moved, &fresh(&other_machine));
+        assert_ne!(
+            moved.cycles, first.cycles,
+            "the machine must reach the baseline"
+        );
+        let mut costly = other_machine;
+        costly.energy.alu_pj *= 2.0;
+        exp.set_spec(costly.clone());
+        same(&exp.run_no_ckpt().expect("runs"), &fresh(&costly));
     }
 
     #[test]

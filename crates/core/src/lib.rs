@@ -66,7 +66,4 @@ pub use addr_map::{AddrMap, AddrMapConfig, AddrMapUsage, AssocState};
 pub use experiment::{CampaignRunResult, Experiment, ExperimentError, ExperimentSpec, RunResult};
 pub use policy::AcrPolicy;
 pub use stats::AcrStats;
-pub use sweep::{
-    run_campaign_sweep, run_faulted_sweep, CampaignSweepItem, CampaignSweepOutcome, FaultedRun,
-    FaultedSweepItem, FaultedSweepOutcome,
-};
+pub use sweep::sweep;

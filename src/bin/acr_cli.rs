@@ -31,23 +31,22 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use acr::{
-    placement, run_campaign_sweep, run_faulted_sweep, AddrMapConfig, CampaignSweepItem, Experiment,
-    ExperimentError, ExperimentSpec, FaultedSweepItem, RunResult,
-};
-use acr_bench::{FigureTask, FIGURE_TASKS, PAPER_FIGURES};
+use acr::{placement, sweep, AddrMapConfig, ExperimentError, ExperimentSpec, RunResult};
+use acr_bench::{paper_experiment, run_campaigns, FigureTask, FIGURE_TASKS, PAPER_FIGURES};
 use acr_ckpt::{
     default_models, default_resilience, fault_to_json, run_soak, CampaignConfig, CampaignError,
-    CaseOutcome, CkptError, OmitReason, ParallelRunner, PostmortemBundle, ReproDoc, RingDigest,
-    Scheme, SecondaryStorage, ShrinkConfig, SoakCursor, SoakGrid, SoakModel, SoakResilience,
+    CampaignTotals, CaseOutcome, CkptError, OmitReason, ParallelRunner, PostmortemBundle, ReproDoc,
+    RingDigest, Scheme, SecondaryStorage, ShrinkConfig, SoakCursor, SoakGrid, SoakModel,
+    SoakResilience,
 };
 use acr_mem::CoreId;
 use acr_sim::{Fault, FaultKind, FaultKindSet, FaultStorm};
 use acr_trace::{
     chrome_trace_json, diff_manifests, fnv1a, merge_loads, BenchStats, DiffOptions, Fnv1a,
-    HostPerf, Manifest, MetricsRegistry, Stopwatch, TraceEvent, WorkerLoad, TRACK_ENGINE,
+    HostPerf, Manifest, MetricsRegistry, SharedSink, Stopwatch, TraceEvent, WorkerLoad,
+    TRACK_ENGINE,
 };
-use acr_workloads::{generate, Benchmark, WorkloadConfig};
+use acr_workloads::{Benchmark, WorkloadConfig};
 
 const USAGE: &str = "\
 acr_cli — ACR (Amnesic Checkpointing and Recovery) reproduction driver
@@ -1231,56 +1230,33 @@ fn metrics_table(pairs: &[(String, u64)]) -> String {
     out
 }
 
-/// Builds the per-workload sweep items of an inject-style campaign:
-/// `--faults` split evenly across the workloads (remainder to the first
-/// ones), per-workload seed = `--seed + index`.
-fn campaign_items(a: &RunArgs) -> Vec<CampaignSweepItem> {
-    let n = a.workloads.len() as u32;
-    let base_count = a.faults / n;
-    let remainder = a.faults % n;
-    a.workloads
-        .iter()
-        .enumerate()
-        .filter_map(|(i, &bench)| {
-            let count = base_count + u32::from((i as u32) < remainder);
-            if count == 0 {
-                return None;
-            }
-            Some(CampaignSweepItem {
-                name: bench.name().to_owned(),
-                program: generate(
-                    bench,
-                    &WorkloadConfig::default()
-                        .with_threads(a.threads)
-                        .with_scale(a.scale),
-                ),
-                campaign: CampaignConfig {
-                    seed: a.seed.wrapping_add(i as u64),
-                    count,
-                    kinds: a.kinds,
-                    storm: a.storm,
-                    num_checkpoints: a.checkpoints,
-                    detection_latency_frac: a.latency,
-                    scheme: a.scheme,
-                    sample_interval: a.sample_interval,
-                    recovery_faults: a.recovery_faults,
-                    generations: a.generations,
-                    watchdog_budget_cycles: a.watchdog_budget,
-                    progress: a.progress,
-                    ..CampaignConfig::default()
-                },
-                amnesic: a.amnesic,
-            })
-        })
-        .collect()
+/// The generated workloads' configuration: `--threads`, `--scale`, the
+/// default generator seed.
+fn workload(a: &RunArgs) -> WorkloadConfig {
+    WorkloadConfig::default()
+        .with_threads(a.threads)
+        .with_scale(a.scale)
 }
 
-/// The engine spec of one campaign sweep item.
-fn campaign_spec(a: &RunArgs, item: &CampaignSweepItem) -> ExperimentSpec {
-    let bench = Benchmark::from_name(&item.name).expect("items are built from benchmarks");
-    ExperimentSpec::default()
-        .with_cores(a.threads)
-        .with_threshold(bench.default_threshold())
+/// The campaign flags as one [`CampaignConfig`] (`inject` and `bench`
+/// split it over the workloads, `soak` derives its chunks from it).
+fn campaign_config(a: &RunArgs) -> CampaignConfig {
+    CampaignConfig {
+        seed: a.seed,
+        count: a.faults,
+        kinds: a.kinds,
+        storm: a.storm,
+        num_checkpoints: a.checkpoints,
+        detection_latency_frac: a.latency,
+        scheme: a.scheme,
+        sample_interval: a.sample_interval,
+        recovery_faults: a.recovery_faults,
+        generations: a.generations,
+        watchdog_budget_cycles: a.watchdog_budget,
+        jobs: a.jobs,
+        progress: a.progress,
+        ..CampaignConfig::default()
+    }
 }
 
 /// Closes a manifest's host section: throughput of `(sim cycles, retired
@@ -1379,39 +1355,28 @@ fn inject(a: &RunArgs) -> Result<ExitCode, String> {
         std::fs::create_dir_all(dir).map_err(|e| format!("--postmortem-dir {dir}: {e}"))?;
     }
 
-    let mut injected = 0u64;
-    let mut detected = 0u64;
-    let mut recovered = 0u64;
-    let mut diverged = 0u64;
-    let mut aborted = 0u64;
-    let mut divergent_words = 0u64;
-    let mut classes = (0u64, 0u64, 0u64, 0u64);
-    let mut recovery_cycles = 0u64;
+    let mut total = CampaignTotals::default();
     let mut recovery_energy = 0.0f64;
-    let mut replay_retries = 0u64;
-    let mut generation_fallbacks = 0u64;
-    let mut degraded_entries = 0u64;
     let mut metrics_jsonl = String::new();
     let mut digest = SweepDigest::new();
     let mut merged = MetricsRegistry::new();
     let mut host = HostPerf::start();
 
-    // One sweep item per workload; the sweep shards --jobs workers over
+    // One campaign per workload; the sweep shards --jobs workers over
     // workloads first and hands any surplus down as per-case campaign
     // shards. Every byte below is identical for every jobs value —
     // except the host.* manifest section, which is honest wall-clock.
-    let items = campaign_items(a);
-
+    let campaign = campaign_config(a);
     let outcomes = host.time("sweep", || {
-        run_campaign_sweep(&items, a.jobs, |item| campaign_spec(a, item))
+        run_campaigns(&a.workloads, workload(a), &campaign, a.amnesic, a.jobs)
     });
 
-    for o in outcomes {
-        let name = o.name;
-        let run = o.run.map_err(|e| format!("{name}: {e}"))?;
+    for (bench, run, host_ns) in outcomes {
+        let name = bench.name();
+        let run = run.map_err(|e| format!("{name}: {e}"))?;
         let r = &run.report;
-        host.add_phase_ns(&name, o.host_ns);
-        digest.fold(&name, &run, &mut merged);
+        host.add_phase_ns(name, host_ns);
+        digest.fold(name, &run, &mut merged);
 
         println!("== {} ({}) ==", name, run.label);
         if a.progress {
@@ -1439,7 +1404,7 @@ fn inject(a: &RunArgs) -> Result<ExitCode, String> {
         if let Some(dir) = &a.postmortem_dir {
             for bundle in &r.postmortems {
                 let mut b = bundle.clone();
-                b.workload = name.clone();
+                b.workload = name.to_owned();
                 b.repro = INJECT.repro_line(a);
                 let path = format!("{dir}/postmortem.{name}.case{:04}.json", b.case);
                 std::fs::write(&path, b.to_json()).map_err(|e| format!("{path}: {e}"))?;
@@ -1447,26 +1412,10 @@ fn inject(a: &RunArgs) -> Result<ExitCode, String> {
             }
         }
         if a.metrics_out.is_some() {
-            metrics_jsonl.push_str(&r.baseline_series.to_jsonl(&[("workload", &name)]));
+            metrics_jsonl.push_str(&r.baseline_series.to_jsonl(&[("workload", name)]));
         }
-        injected += r.injected();
-        detected += r.detected();
-        recovered += r.recovered();
-        diverged += r.diverged();
-        aborted += r.aborted();
-        let (c_rec, c_due, c_sdc, c_hang) = r.class_counts();
-        classes = (
-            classes.0 + c_rec,
-            classes.1 + c_due,
-            classes.2 + c_sdc,
-            classes.3 + c_hang,
-        );
-        divergent_words += r.divergent_words();
-        recovery_cycles += r.recovery_stall_cycles();
+        total += r.totals();
         recovery_energy += run.recovery_energy_joules;
-        replay_retries += r.replay_retries();
-        generation_fallbacks += r.generation_fallbacks();
-        degraded_entries += r.degraded_entries();
 
         if let Some(dir) = &a.csv_dir {
             let path = format!("{dir}/{name}.csv");
@@ -1477,22 +1426,19 @@ fn inject(a: &RunArgs) -> Result<ExitCode, String> {
 
     println!("== campaign total ==");
     println!(
-        "  injected {injected}  detected {detected}  recovered {recovered}  \
-         diverged {diverged}  aborted {aborted}"
+        "  injected {}  detected {}  recovered {}  diverged {}  aborted {}",
+        total.injected, total.detected, total.recovered, total.diverged, total.aborted
     );
+    let [recovered, due, sdc, hang] = total.classes;
+    println!("  outcome classes: recovered {recovered}  due {due}  sdc {sdc}  hang {hang}");
     println!(
-        "  outcome classes: recovered {}  due {}  sdc {}  hang {}",
-        classes.0, classes.1, classes.2, classes.3
-    );
-    println!(
-        "  state-divergence count {divergent_words}  recovery cycles {recovery_cycles}  \
-         recovery energy {recovery_energy:.6e} J"
+        "  state-divergence count {}  recovery cycles {}  recovery energy {recovery_energy:.6e} J",
+        total.divergent_words, total.recovery_stall_cycles
     );
     if a.recovery_faults {
         println!(
-            "  escalation total: replay_retries {replay_retries}  \
-             generation_fallbacks {generation_fallbacks}  \
-             degraded_entries {degraded_entries}"
+            "  escalation total: replay_retries {}  generation_fallbacks {}  degraded_entries {}",
+            total.replay_retries, total.generation_fallbacks, total.degraded_entries
         );
     }
     if let Some(path) = &a.metrics_out {
@@ -1522,7 +1468,7 @@ fn inject(a: &RunArgs) -> Result<ExitCode, String> {
         write_manifest(path, &m)?;
         println!("  manifest -> {path}");
     }
-    Ok(if diverged > 0 || aborted > 0 {
+    Ok(if total.diverged > 0 || total.aborted > 0 {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
@@ -1560,18 +1506,19 @@ fn soak(a: &RunArgs) -> Result<ExitCode, String> {
         _ => SoakCursor::new(&grid, a.seed, a.chunk),
     };
 
-    let base = CampaignConfig {
-        num_checkpoints: a.checkpoints,
-        detection_latency_frac: a.latency,
-        jobs: a.jobs,
-        ..CampaignConfig::default()
-    };
+    // Each chunk overrides the seed, count, fault model and resilience
+    // fields of this base.
+    let base = campaign_config(a);
     // One cached experiment per workload: instrumentation is paid once,
     // not once per chunk.
     let mut exps = a
         .workloads
         .iter()
-        .map(|&b| experiment(b, a.threads, a.scale).map(|e| (b.name().to_string(), e)))
+        .map(|&b| {
+            paper_experiment(b, workload(a), |spec| spec)
+                .map(|e| (b.name().to_string(), e))
+                .map_err(|e| format!("{b}: {e}"))
+        })
         .collect::<Result<Vec<_>, _>>()?;
     println!(
         "== soak: {} combos x {} cases/chunk, seed {} ==",
@@ -1652,36 +1599,21 @@ fn soak(a: &RunArgs) -> Result<ExitCode, String> {
     }
 }
 
-/// One `Experiment` over one workload, as the soak and shrink paths
-/// build it.
-fn experiment(bench: Benchmark, threads: u32, scale: f64) -> Result<Experiment, String> {
-    let program = generate(
-        bench,
-        &WorkloadConfig::default()
-            .with_threads(threads)
-            .with_scale(scale),
-    );
-    Experiment::new(
-        program,
-        ExperimentSpec::default()
-            .with_cores(threads)
-            .with_threshold(bench.default_threshold()),
-    )
-    .map_err(|e| format!("{}: {e}", bench.name()))
-}
-
 /// Re-runs a repro document's minimal plan exactly once: exit 1 when the
 /// failure reproduces (same-signature triage can proceed), 0 when it no
 /// longer fails (the repro is stale).
 fn shrink_replay(path: &str) -> Result<ExitCode, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let doc = ReproDoc::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
-    let workload = Benchmark::from_name(&doc.workload)
+    let bench = Benchmark::from_name(&doc.workload)
         .ok_or_else(|| format!("{path}: workload: unknown `{}`", doc.workload))?;
-    let mut exp = experiment(workload, doc.threads, doc.scale)?;
+    let wl = WorkloadConfig::default()
+        .with_threads(doc.threads)
+        .with_scale(doc.scale);
+    let mut exp = paper_experiment(bench, wl, |spec| spec).map_err(|e| format!("{bench}: {e}"))?;
     println!(
         "== replay: {} case {:04}, {} fault(s) ==",
-        workload.name(),
+        bench.name(),
         doc.case,
         doc.faults.len()
     );
@@ -1705,32 +1637,21 @@ fn shrink_replay(path: &str) -> Result<ExitCode, String> {
 }
 
 fn shrink(a: &RunArgs) -> Result<ExitCode, String> {
-    let &[workload] = a.workloads.as_slice() else {
+    let &[bench] = a.workloads.as_slice() else {
         return Err("--workload: shrink takes exactly one workload".into());
     };
     if let Some(path) = &a.replay {
         return shrink_replay(path);
     }
-    let cfg = CampaignConfig {
-        seed: a.seed,
-        count: a.faults,
-        kinds: a.kinds,
-        storm: a.storm,
-        num_checkpoints: a.checkpoints,
-        detection_latency_frac: a.latency,
-        recovery_faults: a.recovery_faults,
-        generations: a.generations,
-        watchdog_budget_cycles: a.watchdog_budget,
-        jobs: 1,
-        ..CampaignConfig::default()
-    };
-    let mut exp = experiment(workload, a.threads, a.scale)?;
+    let cfg = campaign_config(a);
+    let mut exp =
+        paper_experiment(bench, workload(a), |spec| spec).map_err(|e| format!("{bench}: {e}"))?;
     let faults = exp
         .plan_dense_faults(&cfg, a.amnesic)
         .map_err(|e| e.to_string())?;
     println!(
         "== shrink: {} case {:04}, {} planned fault(s) ==",
-        workload.name(),
+        bench.name(),
         a.case,
         faults.len()
     );
@@ -1765,9 +1686,9 @@ fn shrink(a: &RunArgs) -> Result<ExitCode, String> {
     let out_path = a
         .out
         .clone()
-        .unwrap_or_else(|| format!("repro.{}.case{:04}.json", workload.name(), a.case));
+        .unwrap_or_else(|| format!("repro.{}.case{:04}.json", bench.name(), a.case));
     let doc = ReproDoc {
-        workload: workload.name().to_owned(),
+        workload: bench.name().to_owned(),
         case: a.case,
         seed: a.seed,
         threads: a.threads,
@@ -1836,20 +1757,32 @@ fn planned_faults(
         .collect())
 }
 
-/// One faulted-run sweep item per workload (trace, profile).
-fn faulted_items(a: &RunArgs) -> Vec<FaultedSweepItem> {
-    a.workloads
-        .iter()
-        .map(|&bench| FaultedSweepItem {
-            name: bench.name().to_owned(),
-            program: generate(
-                bench,
-                &WorkloadConfig::default()
-                    .with_threads(a.threads)
-                    .with_scale(a.scale),
-            ),
-        })
-        .collect()
+/// One traced/profiled run of `bench`: the paper experiment at the
+/// `--threads`/`--scale`/`--checkpoints`/`--scheme` flags, refined by
+/// `refine`, run as `ReCkpt_F` under the [`planned_faults`] plan. With
+/// `detail: Some(_)` a fresh in-memory trace sink rides along; sinks are
+/// `Rc`-based, so each worker builds its own here and traced events come
+/// back per workload, never interleaved. Returns the run, the captured
+/// events (empty when not tracing) and the instrumented binary it
+/// executed (for flamegraph region labels).
+fn faulted_run(
+    a: &RunArgs,
+    bench: Benchmark,
+    detail: Option<bool>,
+    refine: impl FnOnce(ExperimentSpec) -> ExperimentSpec,
+) -> Result<(RunResult, Vec<TraceEvent>, acr_isa::Program), ExperimentError> {
+    let (sink, recorded) = SharedSink::memory();
+    let mut exp = paper_experiment(bench, workload(a), |spec| {
+        let spec = refine(spec.with_checkpoints(a.checkpoints).with_scheme(a.scheme));
+        match detail {
+            Some(detail) => spec.with_trace(sink.with_detail(detail)),
+            None => spec,
+        }
+    })?;
+    let total = exp.total_work()?;
+    let result = exp.run_reckpt_faulted(planned_faults(a.seed, a.faults, total, a.threads)?)?;
+    let events = recorded.borrow().events().to_vec();
+    Ok((result, events, exp.instrumented().0.clone()))
 }
 
 fn trace(a: &RunArgs) -> Result<ExitCode, String> {
@@ -1860,39 +1793,26 @@ fn trace(a: &RunArgs) -> Result<ExitCode, String> {
     let mut metrics_digest = Fnv1a::new();
     let mut sim_cycles = 0u64;
     let mut retired = 0u64;
-    let items = faulted_items(a);
     let outcomes = host.time("sweep", || {
-        run_faulted_sweep(
-            &items,
-            a.jobs,
-            Some(a.detail),
-            |item| {
-                let bench =
-                    Benchmark::from_name(&item.name).expect("items are built from benchmarks");
-                ExperimentSpec::default()
-                    .with_cores(a.threads)
-                    .with_checkpoints(a.checkpoints)
-                    .with_threshold(bench.default_threshold())
-                    .with_scheme(a.scheme)
-                    .with_sample_interval(a.sample_interval)
-            },
-            |_, total| planned_faults(a.seed, a.faults, total, a.threads),
-        )
+        sweep(a.workloads.len(), a.jobs, |i, _| {
+            faulted_run(a, a.workloads[i], Some(a.detail), |spec| {
+                spec.with_sample_interval(a.sample_interval)
+            })
+        })
     });
 
-    for o in outcomes {
-        let name = o.name;
-        let run = o.run.map_err(|e| format!("{name}: {e}"))?;
-        let result = &run.result;
+    for (&bench, (run, host_ns)) in a.workloads.iter().zip(outcomes) {
+        let name = bench.name();
+        let (result, events, _) = run.map_err(|e| format!("{name}: {e}"))?;
         let report = result.report.as_ref().expect("engine runs carry a report");
-        host.add_phase_ns(&name, o.host_ns);
+        host.add_phase_ns(name, host_ns);
         sim_cycles += result.cycles;
         retired += result.sim.retired;
 
-        let out_path = suffixed(out, &name, multi);
-        let json = chrome_trace_json(&run.events, Some(&report.series));
+        let out_path = suffixed(out, name, multi);
+        let json = chrome_trace_json(&events, Some(&report.series));
         std::fs::write(&out_path, &json).map_err(|e| format!("{out_path}: {e}"))?;
-        sim_hashes.push((name.clone(), fnv1a(json.as_bytes())));
+        sim_hashes.push((name.to_owned(), fnv1a(json.as_bytes())));
 
         println!(
             "traced {} ({}): {} cycles, {} checkpoints, {} faults injected, {} recoveries",
@@ -1913,7 +1833,7 @@ fn trace(a: &RunArgs) -> Result<ExitCode, String> {
         }
         println!(
             "  {} trace events + {} metric samples (every {} cycles) -> {}",
-            run.events.len(),
+            events.len(),
             report.series.samples().len(),
             a.sample_interval,
             out_path
@@ -1926,10 +1846,10 @@ fn trace(a: &RunArgs) -> Result<ExitCode, String> {
         }
         let jsonl = report
             .series
-            .to_jsonl(&[("workload", &name), ("run", "reckpt_faulted")]);
+            .to_jsonl(&[("workload", name), ("run", "reckpt_faulted")]);
         metrics_digest.write(jsonl.as_bytes());
         if let Some(path) = &a.metrics_out {
-            let path = suffixed(path, &name, multi);
+            let path = suffixed(path, name, multi);
             std::fs::write(&path, jsonl).map_err(|e| format!("{path}: {e}"))?;
             println!("  metrics samples -> {path}");
         }
@@ -2037,7 +1957,6 @@ fn ledger_report(
 
 fn profile(a: &RunArgs) -> Result<ExitCode, String> {
     let multi = a.workloads.len() > 1;
-    let items = faulted_items(a);
     let tracing = a.trace_out.is_some();
     let mut host = HostPerf::start();
     let mut sim_hashes: Vec<(String, u64)> = Vec::new();
@@ -2045,35 +1964,22 @@ fn profile(a: &RunArgs) -> Result<ExitCode, String> {
     let mut sim_cycles = 0u64;
     let mut retired = 0u64;
     let outcomes = host.time("sweep", || {
-        run_faulted_sweep(
-            &items,
-            a.jobs,
-            tracing.then_some(false),
-            |item| {
-                let bench =
-                    Benchmark::from_name(&item.name).expect("items are built from benchmarks");
-                let spec = ExperimentSpec::default()
-                    .with_cores(a.threads)
-                    .with_checkpoints(a.checkpoints)
-                    .with_threshold(bench.default_threshold())
-                    .with_scheme(a.scheme)
-                    .with_profile(true);
+        sweep(a.workloads.len(), a.jobs, |i, _| {
+            faulted_run(a, a.workloads[i], tracing.then_some(false), |spec| {
+                let spec = spec.with_profile(true);
                 if tracing {
                     spec.with_sample_interval(5000)
                 } else {
                     spec
                 }
-            },
-            |_, total| planned_faults(a.seed, a.faults, total, a.threads),
-        )
+            })
+        })
     });
 
     let energy = acr_energy::EnergyModel::default();
-    for o in outcomes {
-        let name = o.name;
-        let run = o.run.map_err(|e| format!("{name}: {e}"))?;
-        let result = &run.result;
-        let iprog = &run.instrumented;
+    for (&bench, (run, host_ns)) in a.workloads.iter().zip(outcomes) {
+        let name = bench.name();
+        let (result, events, iprog) = run.map_err(|e| format!("{name}: {e}"))?;
         let prof = result.profile.as_ref().expect("profiling was enabled");
         let ledger = result.ledger.as_ref().expect("profiling was enabled");
         let (logged, omitted) = result.log_totals.expect("profiling was enabled");
@@ -2088,13 +1994,13 @@ fn profile(a: &RunArgs) -> Result<ExitCode, String> {
         );
         assert_eq!(ledger.total_omitted(), omitted);
 
-        let flame_out = suffixed(&a.flame_out, &name, multi);
-        let ledger_out = suffixed(&a.ledger_out, &name, multi);
-        let flame = collapsed_stacks(&name, iprog, prof);
+        let flame_out = suffixed(&a.flame_out, name, multi);
+        let ledger_out = suffixed(&a.ledger_out, name, multi);
+        let flame = collapsed_stacks(name, &iprog, prof);
         std::fs::write(&flame_out, &flame).map_err(|e| format!("{flame_out}: {e}"))?;
-        let ledger_txt = ledger_report(&name, a.seed, ledger, &energy);
+        let ledger_txt = ledger_report(name, a.seed, ledger, &energy);
         std::fs::write(&ledger_out, &ledger_txt).map_err(|e| format!("{ledger_out}: {e}"))?;
-        host.add_phase_ns(&name, o.host_ns);
+        host.add_phase_ns(name, host_ns);
         sim_cycles += result.cycles;
         retired += result.sim.retired;
         sim_hashes.push((format!("{name}.flame"), fnv1a(flame.as_bytes())));
@@ -2141,9 +2047,9 @@ fn profile(a: &RunArgs) -> Result<ExitCode, String> {
         println!("  ledger -> {ledger_out}");
 
         if let Some(path) = &a.trace_out {
-            let path = suffixed(path, &name, multi);
+            let path = suffixed(path, name, multi);
             let report = result.report.as_ref().expect("engine runs carry a report");
-            let mut recorded = run.events.clone();
+            let mut recorded = events;
             // Ledger reason totals as one counter track per reason, stamped
             // at the end of the run, plus the retire-latency digest.
             for reason in OmitReason::ALL {
@@ -2185,19 +2091,18 @@ fn profile(a: &RunArgs) -> Result<ExitCode, String> {
 }
 
 fn bench(a: &RunArgs) -> Result<ExitCode, String> {
-    let items = campaign_items(a);
-    let run_items = |items: &[CampaignSweepItem]| -> Result<SweepDigest, String> {
-        let outcomes = run_campaign_sweep(items, a.jobs, |item| campaign_spec(a, item));
+    let campaign = campaign_config(a);
+    let run_campaign = |campaign: &CampaignConfig| -> Result<SweepDigest, String> {
         let mut digest = SweepDigest::new();
         let mut merged = MetricsRegistry::new();
-        for o in outcomes {
-            let name = o.name;
-            let run = o.run.map_err(|e| format!("{name}: {e}"))?;
-            digest.fold(&name, &run, &mut merged);
+        for (bench, run, _) in run_campaigns(&a.workloads, workload(a), campaign, a.amnesic, a.jobs)
+        {
+            let run = run.map_err(|e| format!("{bench}: {e}"))?;
+            digest.fold(bench.name(), &run, &mut merged);
         }
         Ok(digest)
     };
-    let run_once = || run_items(&items);
+    let run_once = || run_campaign(&campaign);
 
     let mut host = HostPerf::start();
     println!(
@@ -2256,14 +2161,14 @@ fn bench(a: &RunArgs) -> Result<ExitCode, String> {
     // rings detached. The recorder is purely observational — the hashes
     // must not move — and the median split quantifies its host cost
     // (budgeted under 1 % on the reference campaign).
-    let mut off_items = items.clone();
-    for it in &mut off_items {
-        it.campaign.recorder = false;
-    }
+    let off_campaign = CampaignConfig {
+        recorder: false,
+        ..campaign.clone()
+    };
     let mut off_samples = Vec::with_capacity(a.reps as usize);
     for _ in 0..a.reps {
         let sw = Stopwatch::start();
-        let digest = run_items(&off_items)?;
+        let digest = run_campaign(&off_campaign)?;
         let ns = sw.elapsed_ns();
         host.add_phase_ns("recorder_off", ns);
         off_samples.push(ns);
@@ -2400,11 +2305,30 @@ fn run(a: &RunArgs) -> Result<ExitCode, String> {
 
 fn run_workload(a: &RunArgs, bench: Benchmark) -> Result<(), ExperimentError> {
     let wl = WorkloadConfig {
-        threads: a.threads,
-        scale: a.scale,
         seed: a.seed,
+        ..workload(a)
     };
-    let program = generate(bench, &wl);
+    let mut exp = paper_experiment(bench, wl, |spec| {
+        let threshold = a.threshold.unwrap_or(spec.slicer.threshold);
+        ExperimentSpec {
+            detection_latency_frac: a.latency,
+            addrmap: a
+                .addrmap
+                .map_or(spec.addrmap, |capacity_per_core| AddrMapConfig {
+                    capacity_per_core,
+                }),
+            secondary: a.secondary.map(|every| SecondaryStorage {
+                every,
+                ..Default::default()
+            }),
+            ..spec
+        }
+        .with_checkpoints(a.checkpoints)
+        .with_threshold(threshold)
+        .with_scheme(a.scheme)
+        .with_oracle(a.oracle)
+    })?;
+    let program = exp.program();
     println!(
         "workload {} — {} threads, {} static instrs, {} B image",
         bench,
@@ -2413,28 +2337,6 @@ fn run_workload(a: &RunArgs, bench: Benchmark) -> Result<(), ExperimentError> {
         program.mem_bytes()
     );
 
-    let mut spec = ExperimentSpec {
-        detection_latency_frac: a.latency,
-        ..ExperimentSpec::default()
-    }
-    .with_cores(a.threads)
-    .with_checkpoints(a.checkpoints)
-    .with_threshold(a.threshold.unwrap_or(bench.default_threshold()))
-    .with_scheme(a.scheme)
-    .with_oracle(a.oracle);
-    if let Some(cap) = a.addrmap {
-        spec.addrmap = AddrMapConfig {
-            capacity_per_core: cap,
-        };
-    }
-    if let Some(every) = a.secondary {
-        spec.secondary = Some(SecondaryStorage {
-            every,
-            ..Default::default()
-        });
-    }
-
-    let mut exp = Experiment::new(program, spec)?;
     let no = exp.run_no_ckpt()?;
     print_result("No_Ckpt", &no, None);
 
@@ -2853,6 +2755,30 @@ mod tests {
         };
         let baseline = include_str!("../../results/BENCH_baseline.json");
         assert_eq!(config_line(&m.to_json()), config_line(baseline));
+    }
+
+    /// Traced runs of several workloads come back per workload and
+    /// identical for every jobs value: each worker's sink sees only its
+    /// own workload's events.
+    #[test]
+    fn traced_runs_are_jobs_invariant_per_workload() {
+        let a = TRACE
+            .parse(&argv(&["--workload", "cg,is", "--scale", "0.02"]))
+            .expect("parses");
+        let runs = |jobs| {
+            sweep(a.workloads.len(), jobs, |i, _| {
+                faulted_run(&a, a.workloads[i], Some(false), |spec| spec)
+                    .map(|(result, events, _)| (result.cycles, events))
+                    .expect("runs")
+            })
+        };
+        let seq = runs(1);
+        assert_eq!(seq.len(), 2);
+        assert_ne!(seq[0].0, seq[1].0, "two workloads, two traces");
+        for ((s, _), (p, _)) in seq.iter().zip(runs(2)) {
+            assert_eq!(*s, p);
+            assert!(!s.1.is_empty(), "tracing was on");
+        }
     }
 
     fn sample(flag: &Flag, rng: &mut SmallRng) -> &'static str {

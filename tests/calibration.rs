@@ -5,9 +5,10 @@
 //! All bounds are deliberately loose — they pin orderings and bands, not
 //! exact percentages (EXPERIMENTS.md records the full-scale values).
 
-use acr::{Experiment, ExperimentSpec};
+use acr::Experiment;
+use acr_bench::paper_experiment;
 use acr_ckpt::Scheme;
-use acr_workloads::{generate, Benchmark, WorkloadConfig};
+use acr_workloads::{Benchmark, WorkloadConfig};
 
 const SCALE: f64 = 0.5;
 const THREADS: u32 = 8;
@@ -15,22 +16,18 @@ const THREADS: u32 = 8;
 /// to the kernels' sweeps as at full scale (25 checkpoints, scale 1.0).
 const CHECKPOINTS: u32 = 12;
 
-fn experiment(bench: Benchmark) -> Experiment {
-    let program = generate(
-        bench,
-        &WorkloadConfig::default()
-            .with_threads(THREADS)
-            .with_scale(SCALE),
-    );
-    let spec = ExperimentSpec::default()
-        .with_cores(THREADS)
-        .with_checkpoints(CHECKPOINTS)
-        .with_threshold(bench.default_threshold());
-    Experiment::new(program, spec).expect("valid workload")
+fn experiment(bench: Benchmark, scheme: Scheme) -> Experiment {
+    let wl = WorkloadConfig::default()
+        .with_threads(THREADS)
+        .with_scale(SCALE);
+    paper_experiment(bench, wl, |spec| {
+        spec.with_checkpoints(CHECKPOINTS).with_scheme(scheme)
+    })
+    .expect("valid workload")
 }
 
 fn size_reduction(bench: Benchmark, threshold: usize) -> f64 {
-    let mut exp = experiment(bench);
+    let mut exp = experiment(bench, Scheme::GlobalCoordinated);
     let mut spec = exp.spec().clone();
     spec.slicer.threshold = threshold;
     exp.set_spec(spec);
@@ -98,7 +95,7 @@ fn fig6_orderings_hold() {
     let mut cg_oh = 0.0;
     let mut min_other_oh = f64::MAX;
     for b in Benchmark::ALL {
-        let mut exp = experiment(b);
+        let mut exp = experiment(b, Scheme::GlobalCoordinated);
         let no = exp.run_no_ckpt().expect("no");
         let c = exp.run_ckpt(0).expect("ckpt");
         let r = exp.run_reckpt(0).expect("reckpt");
@@ -134,19 +131,8 @@ fn fig13_roles_hold() {
     // All-to-all benchmarks must gain nothing from the local scheme;
     // group-local ones must gain meaningfully.
     let ratio = |b: Benchmark| {
-        let program = generate(
-            b,
-            &WorkloadConfig::default()
-                .with_threads(THREADS)
-                .with_scale(SCALE),
-        );
-        let spec = ExperimentSpec::default()
-            .with_cores(THREADS)
-            .with_checkpoints(CHECKPOINTS)
-            .with_threshold(b.default_threshold());
-        let mut glob = Experiment::new(program.clone(), spec.clone()).expect("valid");
-        let mut loc =
-            Experiment::new(program, spec.with_scheme(Scheme::LocalCoordinated)).expect("valid");
+        let mut glob = experiment(b, Scheme::GlobalCoordinated);
+        let mut loc = experiment(b, Scheme::LocalCoordinated);
         loc.run_ckpt(0).expect("local").cycles as f64
             / glob.run_ckpt(0).expect("global").cycles as f64
     };
@@ -164,7 +150,7 @@ fn fig13_roles_hold() {
 fn edp_reductions_roughly_double_time_reductions() {
     // The paper's EDP reductions are ≈2× its time reductions (energy and
     // time fall together).
-    let mut exp = experiment(Benchmark::Is);
+    let mut exp = experiment(Benchmark::Is, Scheme::GlobalCoordinated);
     let c = exp.run_ckpt(0).expect("ckpt");
     let r = exp.run_reckpt(0).expect("reckpt");
     let t_red = 100.0 * (c.cycles as f64 - r.cycles as f64) / c.cycles as f64;

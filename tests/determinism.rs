@@ -2,25 +2,19 @@
 //! (explicit core interleaving, seeded generators), so identical
 //! configurations must produce identical cycles, energy and reports.
 
-use acr::{CampaignRunResult, Experiment, ExperimentSpec};
+use acr::CampaignRunResult;
+use acr_bench::paper_experiment;
 use acr_ckpt::CampaignConfig;
 use acr_sim::FaultKindSet;
 use acr_workloads::{generate, Benchmark, WorkloadConfig};
 
 fn run_pair(bench: Benchmark, errors: u32) -> (u64, f64, u64) {
-    let p = generate(
-        bench,
-        &WorkloadConfig {
-            threads: 4,
-            scale: 0.15,
-            seed: 9,
-        },
-    );
-    let spec = ExperimentSpec::default()
-        .with_cores(4)
-        .with_checkpoints(5)
-        .with_threshold(bench.default_threshold());
-    let mut exp = Experiment::new(p, spec).expect("valid");
+    let wl = WorkloadConfig {
+        threads: 4,
+        scale: 0.15,
+        seed: 9,
+    };
+    let mut exp = paper_experiment(bench, wl, |spec| spec.with_checkpoints(5)).expect("valid");
     let r = exp.run_reckpt(errors).expect("run");
     (r.cycles, r.energy.total_joules(), r.checkpoint_bytes())
 }
@@ -37,18 +31,12 @@ fn identical_runs_are_bit_identical() {
 }
 
 fn run_campaign_once(seed: u64) -> CampaignRunResult {
-    let p = generate(
-        Benchmark::Is,
-        &WorkloadConfig {
-            threads: 2,
-            scale: 0.05,
-            seed: 5,
-        },
-    );
-    let spec = ExperimentSpec::default()
-        .with_cores(2)
-        .with_threshold(Benchmark::Is.default_threshold());
-    let mut exp = Experiment::new(p, spec).expect("valid");
+    let wl = WorkloadConfig {
+        threads: 2,
+        scale: 0.05,
+        seed: 5,
+    };
+    let mut exp = paper_experiment(Benchmark::Is, wl, |spec| spec).expect("valid");
     let cfg = CampaignConfig {
         seed,
         count: 30,

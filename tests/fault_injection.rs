@@ -6,10 +6,11 @@
 //! `acr-ckpt`: real workloads, the real compiler pass, and the real
 //! `AcrPolicy` recomputing omitted values from Slices during recovery.
 
-use acr::{CampaignRunResult, Experiment, ExperimentSpec};
+use acr::CampaignRunResult;
+use acr_bench::paper_experiment;
 use acr_ckpt::{CampaignConfig, CaseOutcome};
 use acr_sim::FaultKindSet;
-use acr_workloads::{generate, Benchmark, WorkloadConfig};
+use acr_workloads::{Benchmark, WorkloadConfig};
 
 const THREADS: u32 = 2;
 
@@ -20,18 +21,12 @@ fn campaign(
     kinds: FaultKindSet,
     amnesic: bool,
 ) -> CampaignRunResult {
-    let program = generate(
-        bench,
-        &WorkloadConfig {
-            threads: THREADS,
-            scale: 0.05,
-            seed: 9,
-        },
-    );
-    let spec = ExperimentSpec::default()
-        .with_cores(THREADS)
-        .with_threshold(bench.default_threshold());
-    let mut exp = Experiment::new(program, spec).expect("valid workload");
+    let wl = WorkloadConfig {
+        threads: THREADS,
+        scale: 0.05,
+        seed: 9,
+    };
+    let mut exp = paper_experiment(bench, wl, |spec| spec).expect("valid workload");
     let cfg = CampaignConfig {
         seed,
         count,
@@ -64,7 +59,7 @@ fn two_hundred_faults_across_workloads_all_converge() {
         assert_eq!(run.label, "Inject_ReCkpt");
         assert_eq!(r.injected(), u64::from(per_workload), "{}", bench.name());
         assert_eq!(
-            r.detected(),
+            r.totals().detected,
             u64::from(per_workload),
             "{}: {}",
             bench.name(),
@@ -77,9 +72,9 @@ fn two_hundred_faults_across_workloads_all_converge() {
             bench.name(),
             r.summary()
         );
-        assert_eq!(r.diverged(), 0, "{}", bench.name());
-        assert_eq!(r.aborted(), 0, "{}", bench.name());
-        assert_eq!(r.divergent_words(), 0, "{}", bench.name());
+        assert_eq!(r.totals().diverged, 0, "{}", bench.name());
+        assert_eq!(r.totals().aborted, 0, "{}", bench.name());
+        assert_eq!(r.totals().divergent_words, 0, "{}", bench.name());
         for c in &r.cases {
             assert_eq!(c.outcome, CaseOutcome::Recovered, "{c:?}");
             assert_eq!(c.final_retired, r.total_progress, "{c:?}");
@@ -102,7 +97,7 @@ fn baseline_policy_converges_without_recomputation() {
     let r = &run.report;
     assert_eq!(run.label, "Inject_Ckpt");
     assert_eq!(r.recovered(), 25, "{}", r.summary());
-    assert_eq!(r.divergent_words(), 0);
+    assert_eq!(r.totals().divergent_words, 0);
     assert_eq!(r.recomputed_values(), 0);
     assert!(r.restored_records() > 0);
 }
@@ -124,5 +119,5 @@ fn crash_faults_recover() {
     let (total, ok) = r.kind_counts("crash");
     assert_eq!(total, 20);
     assert_eq!(ok, 20, "{}", r.summary());
-    assert_eq!(r.divergent_words(), 0);
+    assert_eq!(r.totals().divergent_words, 0);
 }

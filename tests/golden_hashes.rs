@@ -2,11 +2,11 @@
 //! path the paper figures run through, of the figure reports themselves
 //! and of the compiler pass's output.
 //!
-//! These tests replicate `acr_cli inject`'s exact campaign construction —
-//! workload list, per-workload fault split, seed offsets, spec and
-//! campaign defaults, and the FNV-1a fold of per-workload content hashes
-//! into the combined hash — and pin the resulting values. The pins serve
-//! two masters:
+//! The campaign pins run `acr_cli inject`'s own campaign code —
+//! `acr_bench::run_campaigns`, which splits the faults over the workloads
+//! and sweeps their paper experiments — and fold the per-workload content
+//! hashes into the combined hash as the CLI does. The pins serve two
+//! masters:
 //!
 //! * **Reproducibility regression**: any change to fault planning, the
 //!   timing model, recovery, or report hashing shows up here as a hash
@@ -20,10 +20,8 @@
 //! costs minutes, so they ride only in release test runs
 //! (`cargo test --release`); CI also checks them through the CLI itself.
 
-use acr::{
-    run_campaign_sweep, AcrPolicy, AddrMapConfig, CampaignSweepItem, Experiment, ExperimentSpec,
-};
-use acr_bench::FIGURE_TASKS;
+use acr::{AcrPolicy, AddrMapConfig};
+use acr_bench::{paper_experiment, run_campaigns, FIGURE_TASKS};
 use acr_ckpt::{
     detection_latency, uniform_points, BerConfig, BerEngine, CampaignConfig, ErrorSchedule,
     NoOmission, OmissionPolicy, ResilienceConfig, ScheduledError, Scheme, SecondaryStorage,
@@ -42,39 +40,6 @@ const THREADS: u32 = 4;
 const SCALE: f64 = 0.05;
 const BENCHES: [Benchmark; 3] = [Benchmark::Is, Benchmark::Cg, Benchmark::Mg];
 
-/// Mirrors `acr_cli inject`: `faults` split evenly across the workloads
-/// (remainder to the first ones), per-workload seed = `seed + index`, the
-/// rest of each workload's campaign from `template`.
-fn items(
-    benches: &[Benchmark],
-    seed: u64,
-    faults: u32,
-    template: &CampaignConfig,
-) -> Vec<CampaignSweepItem> {
-    let n = benches.len() as u32;
-    let base = faults / n;
-    let rem = faults % n;
-    benches
-        .iter()
-        .enumerate()
-        .map(|(i, &bench)| CampaignSweepItem {
-            name: bench.name().to_owned(),
-            program: generate(
-                bench,
-                &WorkloadConfig::default()
-                    .with_threads(THREADS)
-                    .with_scale(SCALE),
-            ),
-            campaign: CampaignConfig {
-                seed: seed.wrapping_add(i as u64),
-                count: base + u32::from((i as u32) < rem),
-                ..template.clone()
-            },
-            amnesic: true,
-        })
-        .collect()
-}
-
 /// The CLI's combined hash: FNV-1a over the little-endian bytes of each
 /// workload's content hash, in workload order (via the shared
 /// `acr_trace::Fnv1a` — the pins below prove the consolidation changed no
@@ -87,9 +52,17 @@ fn combined(hashes: &[u64]) -> u64 {
     h.finish()
 }
 
-/// Runs the replicated inject campaign and returns per-workload content
-/// hashes, using a parallel jobs value so the golden pins also exercise
-/// the sharded merge path.
+/// The pinned workloads' configuration.
+fn workload() -> WorkloadConfig {
+    WorkloadConfig::default()
+        .with_threads(THREADS)
+        .with_scale(SCALE)
+}
+
+/// Runs `acr_cli inject --seed <seed> --faults <faults>` over `benches`
+/// with the rest of the campaign from `template`, and returns the
+/// per-workload content hashes. A parallel jobs value makes the pins also
+/// exercise the sharded merge path.
 fn content_hashes(
     benches: &[Benchmark],
     seed: u64,
@@ -97,16 +70,15 @@ fn content_hashes(
     template: &CampaignConfig,
     jobs: usize,
 ) -> Vec<u64> {
-    let items = items(benches, seed, faults, template);
-    run_campaign_sweep(&items, jobs, |item| {
-        let bench = Benchmark::from_name(&item.name).expect("items are built from benchmarks");
-        ExperimentSpec::default()
-            .with_cores(THREADS)
-            .with_threshold(bench.default_threshold())
-    })
-    .into_iter()
-    .map(|o| o.run.expect("campaign runs").report.content_hash())
-    .collect()
+    let campaign = CampaignConfig {
+        seed,
+        count: faults,
+        ..template.clone()
+    };
+    run_campaigns(benches, workload(), &campaign, true, jobs)
+        .into_iter()
+        .map(|(_, run, _)| run.expect("campaign runs").report.content_hash())
+        .collect()
 }
 
 /// FNV-1a digest of the figure pipeline's phantom-error path: on every
@@ -117,18 +89,11 @@ fn content_hashes(
 fn phantom_digest() -> u64 {
     let mut h = Fnv1a::new();
     for bench in BENCHES {
-        let program = generate(
-            bench,
-            &WorkloadConfig::default()
-                .with_threads(THREADS)
-                .with_scale(SCALE),
-        );
-        let spec = ExperimentSpec::default()
-            .with_cores(THREADS)
-            .with_threshold(bench.default_threshold());
-        let mut global = Experiment::new(program.clone(), spec.clone()).expect("valid workload");
-        let mut local = Experiment::new(program, spec.with_scheme(Scheme::LocalCoordinated))
-            .expect("valid workload");
+        let mut global = paper_experiment(bench, workload(), |spec| spec).expect("valid workload");
+        let mut local = paper_experiment(bench, workload(), |spec| {
+            spec.with_scheme(Scheme::LocalCoordinated)
+        })
+        .expect("valid workload");
         let runs = [
             global.run_ckpt(1).expect("ckpt run"),
             global.run_reckpt(1).expect("reckpt run"),
@@ -490,12 +455,7 @@ fn fold_engine_run<P: OmissionPolicy>(h: &mut Fnv1a, program: &Program, policy: 
 /// the baseline and the ACR policy.
 fn engine_digest() -> u64 {
     let bench = Benchmark::Mg;
-    let raw = generate(
-        bench,
-        &WorkloadConfig::default()
-            .with_threads(THREADS)
-            .with_scale(SCALE),
-    );
+    let raw = generate(bench, &workload());
     let (acr, stats) = instrument(
         &raw,
         &SlicerConfig {

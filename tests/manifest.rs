@@ -3,7 +3,7 @@
 //! round-trip exactly, and make `diff` fail hard on any sim perturbation
 //! while host timings only trip the tolerance band.
 
-use acr::{run_campaign_sweep, CampaignSweepItem, ExperimentSpec};
+use acr::{sweep, Experiment, ExperimentSpec};
 use acr_ckpt::CampaignConfig;
 use acr_isa::{AluOp, Program, ProgramBuilder, Reg};
 use acr_trace::{
@@ -31,37 +31,33 @@ fn kernel(threads: usize, iters: u64) -> Program {
     b.build()
 }
 
-fn items() -> Vec<CampaignSweepItem> {
-    ["a", "b"]
-        .iter()
-        .enumerate()
-        .map(|(i, name)| CampaignSweepItem {
-            name: (*name).to_owned(),
-            program: kernel(2, 40 + 10 * i as u64),
-            campaign: CampaignConfig {
-                seed: 42 + i as u64,
-                count: 5,
-                num_checkpoints: 5,
-                ..CampaignConfig::default()
-            },
-            amnesic: true,
-        })
-        .collect()
-}
-
-/// Runs the sweep and builds a manifest the way `acr_cli inject` does:
-/// per-workload content hashes plus a combined fold, merged metrics
-/// digest, host gauges that may legitimately differ between runs.
+/// Splits a ten-fault campaign over two kernels and sweeps it the way
+/// `acr_cli inject` does, then builds its manifest: per-workload content
+/// hashes plus a combined fold, merged metrics digest, host gauges that
+/// may legitimately differ between runs.
 fn manifest_for(jobs: usize, wall_ns: u64) -> Manifest {
-    let items = items();
-    let spec = |_: &CampaignSweepItem| ExperimentSpec::default().with_cores(2).with_checkpoints(5);
-    let outcomes = run_campaign_sweep(&items, jobs, spec);
+    let template = CampaignConfig {
+        count: 10,
+        num_checkpoints: 5,
+        ..CampaignConfig::default()
+    };
+    let split = template.split(2);
+    let outcomes = sweep(split.len(), jobs, |i, inner| {
+        let (w, cfg) = &split[i];
+        let spec = ExperimentSpec::default().with_cores(2).with_checkpoints(5);
+        let cfg = CampaignConfig {
+            jobs: inner,
+            ..cfg.clone()
+        };
+        Experiment::new(kernel(2, 40 + 10 * *w as u64), spec)
+            .and_then(|mut exp| exp.run_fault_campaign(&cfg, true))
+    });
     let mut hashes: Vec<(String, u64)> = Vec::new();
     let mut merged = MetricsRegistry::new();
     let mut combined = Fnv1a::new();
-    for o in outcomes {
-        let run = o.run.expect("sweep runs");
-        hashes.push((o.name.clone(), run.report.content_hash()));
+    for ((w, _), (run, _)) in split.iter().zip(outcomes) {
+        let run = run.expect("sweep runs");
+        hashes.push((format!("kernel{w}"), run.report.content_hash()));
         combined.write_u64(run.report.content_hash());
         merged.merge(&run.report.metrics);
     }

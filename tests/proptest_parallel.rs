@@ -186,7 +186,7 @@ fn adversarial_campaign_is_jobs_invariant() {
                 "the adversarial kinds must actually reach the plan"
             );
             // Every case lands in exactly one outcome class.
-            let (recovered, due, sdc, hang) = seq.report.class_counts();
+            let [recovered, due, sdc, hang] = seq.report.totals().classes;
             assert_eq!(recovered + due + sdc + hang, seq.report.cases.len() as u64);
             for jobs in [2usize, 4, 8] {
                 cfg.jobs = jobs;

@@ -81,7 +81,7 @@ fn escalation_never_loses_committed_data() {
             let run = exp.run_fault_campaign(&cfg, amnesic).expect("campaign");
             let r = &run.report;
             assert!(r.has_recovery_faults());
-            assert_eq!(r.aborted(), 0, "{}", r.summary());
+            assert_eq!(r.totals().aborted, 0, "{}", r.summary());
             for c in &r.cases {
                 assert_eq!(
                     c.outcome,

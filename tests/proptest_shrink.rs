@@ -9,11 +9,12 @@
 //! them) and are counted, not skipped silently.
 
 use acr::{Experiment, ExperimentSpec};
+use acr_bench::paper_experiment;
 use acr_ckpt::{CampaignConfig, ShrinkConfig};
 use acr_isa::{AluOp, Program, ProgramBuilder, Reg};
 use acr_rng::check::forall;
 use acr_sim::FaultKindSet;
-use acr_workloads::{generate, Benchmark, WorkloadConfig};
+use acr_workloads::{Benchmark, WorkloadConfig};
 
 /// The store-heavy kernel family the parallel-campaign properties use;
 /// `mult` perturbs the data flow so draws exercise different Slices.
@@ -138,10 +139,7 @@ fn shrunk_plans_are_minimal_reproducers_for_every_jobs_value() {
 /// replays with the same trigger and probable cause.
 #[test]
 fn dense_cg_case_shrinks_by_half_with_the_same_signature() {
-    let program = generate(
-        Benchmark::Cg,
-        &WorkloadConfig::default().with_threads(2).with_scale(0.05),
-    );
+    let wl = WorkloadConfig::default().with_threads(2).with_scale(0.05);
     let cfg = CampaignConfig {
         seed: 42,
         count: 10,
@@ -150,13 +148,7 @@ fn dense_cg_case_shrinks_by_half_with_the_same_signature() {
         jobs: 1,
         ..CampaignConfig::default()
     };
-    let mut exp = Experiment::new(
-        program,
-        ExperimentSpec::default()
-            .with_cores(2)
-            .with_threshold(Benchmark::Cg.default_threshold()),
-    )
-    .expect("cg generates");
+    let mut exp = paper_experiment(Benchmark::Cg, wl, |spec| spec).expect("cg generates");
     let faults = exp.plan_dense_faults(&cfg, true).expect("plan generates");
     assert!(faults.len() >= 8, "want a dense plan, got {}", faults.len());
     let out = exp
