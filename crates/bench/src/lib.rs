@@ -9,7 +9,9 @@
 
 pub mod figures;
 
-use acr::{sweep, CampaignRunResult, Experiment, ExperimentError, ExperimentSpec, RunResult};
+use acr::{
+    campaign_sweep, CampaignRunResult, Experiment, ExperimentError, ExperimentSpec, RunResult,
+};
 use acr_ckpt::{CampaignConfig, Scheme};
 use acr_workloads::{generate, Benchmark, WorkloadConfig};
 
@@ -34,18 +36,18 @@ pub fn paper_experiment(
 }
 
 /// The generated workload at `threads` threads and `scale`, default seed.
-fn workload(threads: u32, scale: f64) -> WorkloadConfig {
+pub fn workload(threads: u32, scale: f64) -> WorkloadConfig {
     WorkloadConfig::default()
         .with_threads(threads)
         .with_scale(scale)
 }
 
 /// The fault campaign `acr_cli inject` and `bench` run: `template` split
-/// over `workloads` ([`CampaignConfig::split`]) and each share run on the
-/// workload's [`paper_experiment`] at `wl` through [`sweep`], `jobs`
-/// workers in all (0 = auto). Returns each workload that received faults
-/// with its campaign result and host nanoseconds, in workload order;
-/// every result is byte-identical for every `jobs` value.
+/// over `workloads` and each share run on the workload's
+/// [`paper_experiment`] at `wl` ([`campaign_sweep`]), `jobs` workers in
+/// all (0 = auto). Returns each workload that received faults with its
+/// campaign result and host nanoseconds, in workload order; every result
+/// is byte-identical for every `jobs` value.
 pub fn run_campaigns(
     workloads: &[Benchmark],
     wl: WorkloadConfig,
@@ -53,20 +55,12 @@ pub fn run_campaigns(
     amnesic: bool,
     jobs: usize,
 ) -> Vec<(Benchmark, Result<CampaignRunResult, ExperimentError>, u64)> {
-    let split = template.split(workloads.len());
-    let runs = sweep(split.len(), jobs, |i, inner| {
-        let (w, cfg) = &split[i];
-        let cfg = CampaignConfig {
-            jobs: inner,
-            ..cfg.clone()
-        };
-        paper_experiment(workloads[*w], wl, |spec| spec)?.run_fault_campaign(&cfg, amnesic)
-    });
-    split
-        .iter()
-        .zip(runs)
-        .map(|((w, _), (run, host_ns))| (workloads[*w], run, host_ns))
-        .collect()
+    campaign_sweep(template, workloads.len(), amnesic, jobs, |w| {
+        paper_experiment(workloads[w], wl, |spec| spec)
+    })
+    .into_iter()
+    .map(|(w, run, host_ns)| (workloads[w], run, host_ns))
+    .collect()
 }
 
 /// The five main configurations for one benchmark (Figs. 6–8).

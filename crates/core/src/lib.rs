@@ -66,4 +66,4 @@ pub use addr_map::{AddrMap, AddrMapConfig, AddrMapUsage, AssocState};
 pub use experiment::{CampaignRunResult, Experiment, ExperimentError, ExperimentSpec, RunResult};
 pub use policy::AcrPolicy;
 pub use stats::AcrStats;
-pub use sweep::sweep;
+pub use sweep::{campaign_sweep, sweep};

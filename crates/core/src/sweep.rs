@@ -6,14 +6,16 @@
 //! per-case campaign parallelism in `acr-ckpt`: results come back in item
 //! order, each job builds its own `Experiment` (and, when tracing, its
 //! own in-memory `TraceSink`) inside the worker thread, and only the
-//! job's plain-data result crosses the thread boundary.
+//! job's plain-data result crosses the thread boundary. [`campaign_sweep`]
+//! is that sweep for one fault campaign split over several workloads.
 //!
 //! [`ExperimentSpec`](crate::ExperimentSpec) is deliberately `!Send` (it
 //! carries the `Rc`-based `SharedSink`), so a job cannot be handed a
 //! prebuilt spec: the compiler enforces the per-worker isolation the
 //! deterministic merge relies on.
 
-use acr_ckpt::ParallelRunner;
+use crate::{CampaignRunResult, Experiment, ExperimentError};
+use acr_ckpt::{CampaignConfig, ParallelRunner};
 use acr_trace::Stopwatch;
 
 /// Runs `job(i, inner_jobs)` for every item index `i` in `0..items`
@@ -42,11 +44,42 @@ where
     })
 }
 
+/// Runs `template` split over `workloads` workloads
+/// ([`CampaignConfig::split`]): each share on the experiment `build`
+/// returns for its workload index, through [`sweep`] with `jobs` workers
+/// in all (0 = auto). Returns the index of each workload that received
+/// faults with its campaign result and host nanoseconds, in workload
+/// order; every result is byte-identical for every `jobs` value.
+pub fn campaign_sweep<F>(
+    template: &CampaignConfig,
+    workloads: usize,
+    amnesic: bool,
+    jobs: usize,
+    build: F,
+) -> Vec<(usize, Result<CampaignRunResult, ExperimentError>, u64)>
+where
+    F: Fn(usize) -> Result<Experiment, ExperimentError> + Sync,
+{
+    let split = template.split(workloads);
+    let runs = sweep(split.len(), jobs, |i, inner| {
+        let (w, cfg) = &split[i];
+        let cfg = CampaignConfig {
+            jobs: inner,
+            ..cfg.clone()
+        };
+        build(*w)?.run_fault_campaign(&cfg, amnesic)
+    });
+    split
+        .iter()
+        .zip(runs)
+        .map(|((w, _), (run, host_ns))| (*w, run, host_ns))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Experiment, ExperimentSpec};
-    use acr_ckpt::CampaignConfig;
+    use crate::ExperimentSpec;
     use acr_isa::{AluOp, Program, ProgramBuilder, Reg};
 
     fn kernel(threads: usize, iters: u64) -> Program {
@@ -80,24 +113,19 @@ mod tests {
             num_checkpoints: 5,
             ..CampaignConfig::default()
         };
-        let split = template.split(3);
-        let run = |jobs| {
-            sweep(split.len(), jobs, |i, inner| {
-                let (w, cfg) = &split[i];
+        let run = |jobs| -> Vec<CampaignRunResult> {
+            campaign_sweep(&template, 3, true, jobs, |w| {
                 let spec = ExperimentSpec::default().with_cores(2).with_checkpoints(5);
-                let cfg = CampaignConfig {
-                    jobs: inner,
-                    ..cfg.clone()
-                };
-                Experiment::new(kernel(2, 40 + 10 * *w as u64), spec)
-                    .and_then(|mut exp| exp.run_fault_campaign(&cfg, true))
-                    .expect("sweep runs")
+                Experiment::new(kernel(2, 40 + 10 * w as u64), spec)
             })
+            .into_iter()
+            .map(|(_, run, _)| run.expect("sweep runs"))
+            .collect()
         };
         let seq = run(1);
         assert_eq!(seq.len(), 3);
         for jobs in [2usize, 4, 8] {
-            for ((s, _), (p, _)) in seq.iter().zip(&run(jobs)) {
+            for (s, p) in seq.iter().zip(&run(jobs)) {
                 assert_eq!(s.report, p.report, "jobs={jobs}");
                 assert_eq!(s.report.content_hash(), p.report.content_hash());
                 assert_eq!(

@@ -10,8 +10,9 @@
 //! cargo run --release --example checkpoint_tuning [bench] [errors]
 //! ```
 
-use acr::{Experiment, ExperimentError, ExperimentSpec};
-use acr_workloads::{generate, Benchmark, WorkloadConfig};
+use acr::ExperimentError;
+use acr_bench::{paper_experiment, workload};
+use acr_workloads::Benchmark;
 
 fn main() -> Result<(), ExperimentError> {
     let bench = std::env::args()
@@ -23,10 +24,7 @@ fn main() -> Result<(), ExperimentError> {
         .and_then(|s| s.parse().ok())
         .unwrap_or(2);
 
-    let program = generate(
-        bench,
-        &WorkloadConfig::default().with_threads(8).with_scale(0.5),
-    );
+    let wl = workload(8, 0.5);
     println!("tuning {bench} under {errors} expected errors per execution\n");
     println!(
         "{:>6} {:>12} {:>12} {:>13} {:>13}",
@@ -36,11 +34,7 @@ fn main() -> Result<(), ExperimentError> {
     let mut best_ckpt: Option<(u32, f64)> = None;
     let mut best_reckpt: Option<(u32, f64)> = None;
     for n in [5u32, 10, 25, 50, 75, 100] {
-        let spec = ExperimentSpec::default()
-            .with_cores(8)
-            .with_threshold(bench.default_threshold())
-            .with_checkpoints(n);
-        let mut exp = Experiment::new(program.clone(), spec)?;
+        let mut exp = paper_experiment(bench, wl, |spec| spec.with_checkpoints(n))?;
         let c = exp.run_ckpt(errors)?;
         let r = exp.run_reckpt(errors)?;
         println!(
@@ -65,11 +59,7 @@ fn main() -> Result<(), ExperimentError> {
     // Compare against the analytic Young/Daly recommendation computed from
     // measured per-checkpoint stalls (Section IV: the paper adjusts
     // frequency to expected error rates).
-    let spec = ExperimentSpec::default()
-        .with_cores(8)
-        .with_threshold(bench.default_threshold())
-        .with_checkpoints(25);
-    let mut exp = Experiment::new(program, spec)?;
+    let mut exp = paper_experiment(bench, wl, |spec| spec)?;
     let no = exp.run_no_ckpt()?;
     for (label, run) in [("plain", exp.run_ckpt(0)?), ("ACR", exp.run_reckpt(0)?)] {
         let rep = run.report.as_ref().expect("report");

@@ -32,7 +32,9 @@ use std::process::ExitCode;
 use std::str::FromStr;
 
 use acr::{placement, sweep, AddrMapConfig, ExperimentError, ExperimentSpec, RunResult};
-use acr_bench::{paper_experiment, run_campaigns, FigureTask, FIGURE_TASKS, PAPER_FIGURES};
+use acr_bench::{
+    paper_experiment, run_campaigns, workload, FigureTask, FIGURE_TASKS, PAPER_FIGURES,
+};
 use acr_ckpt::{
     default_models, default_resilience, fault_to_json, run_soak, CampaignConfig, CampaignError,
     CampaignTotals, CaseOutcome, CkptError, OmitReason, ParallelRunner, PostmortemBundle, ReproDoc,
@@ -1230,14 +1232,6 @@ fn metrics_table(pairs: &[(String, u64)]) -> String {
     out
 }
 
-/// The generated workloads' configuration: `--threads`, `--scale`, the
-/// default generator seed.
-fn workload(a: &RunArgs) -> WorkloadConfig {
-    WorkloadConfig::default()
-        .with_threads(a.threads)
-        .with_scale(a.scale)
-}
-
 /// The campaign flags as one [`CampaignConfig`] (`inject` and `bench`
 /// split it over the workloads, `soak` derives its chunks from it).
 fn campaign_config(a: &RunArgs) -> CampaignConfig {
@@ -1368,7 +1362,13 @@ fn inject(a: &RunArgs) -> Result<ExitCode, String> {
     // except the host.* manifest section, which is honest wall-clock.
     let campaign = campaign_config(a);
     let outcomes = host.time("sweep", || {
-        run_campaigns(&a.workloads, workload(a), &campaign, a.amnesic, a.jobs)
+        run_campaigns(
+            &a.workloads,
+            workload(a.threads, a.scale),
+            &campaign,
+            a.amnesic,
+            a.jobs,
+        )
     });
 
     for (bench, run, host_ns) in outcomes {
@@ -1515,7 +1515,7 @@ fn soak(a: &RunArgs) -> Result<ExitCode, String> {
         .workloads
         .iter()
         .map(|&b| {
-            paper_experiment(b, workload(a), |spec| spec)
+            paper_experiment(b, workload(a.threads, a.scale), |spec| spec)
                 .map(|e| (b.name().to_string(), e))
                 .map_err(|e| format!("{b}: {e}"))
         })
@@ -1607,10 +1607,8 @@ fn shrink_replay(path: &str) -> Result<ExitCode, String> {
     let doc = ReproDoc::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
     let bench = Benchmark::from_name(&doc.workload)
         .ok_or_else(|| format!("{path}: workload: unknown `{}`", doc.workload))?;
-    let wl = WorkloadConfig::default()
-        .with_threads(doc.threads)
-        .with_scale(doc.scale);
-    let mut exp = paper_experiment(bench, wl, |spec| spec).map_err(|e| format!("{bench}: {e}"))?;
+    let mut exp = paper_experiment(bench, workload(doc.threads, doc.scale), |spec| spec)
+        .map_err(|e| format!("{bench}: {e}"))?;
     println!(
         "== replay: {} case {:04}, {} fault(s) ==",
         bench.name(),
@@ -1644,8 +1642,8 @@ fn shrink(a: &RunArgs) -> Result<ExitCode, String> {
         return shrink_replay(path);
     }
     let cfg = campaign_config(a);
-    let mut exp =
-        paper_experiment(bench, workload(a), |spec| spec).map_err(|e| format!("{bench}: {e}"))?;
+    let mut exp = paper_experiment(bench, workload(a.threads, a.scale), |spec| spec)
+        .map_err(|e| format!("{bench}: {e}"))?;
     let faults = exp
         .plan_dense_faults(&cfg, a.amnesic)
         .map_err(|e| e.to_string())?;
@@ -1772,7 +1770,7 @@ fn faulted_run(
     refine: impl FnOnce(ExperimentSpec) -> ExperimentSpec,
 ) -> Result<(RunResult, Vec<TraceEvent>, acr_isa::Program), ExperimentError> {
     let (sink, recorded) = SharedSink::memory();
-    let mut exp = paper_experiment(bench, workload(a), |spec| {
+    let mut exp = paper_experiment(bench, workload(a.threads, a.scale), |spec| {
         let spec = refine(spec.with_checkpoints(a.checkpoints).with_scheme(a.scheme));
         match detail {
             Some(detail) => spec.with_trace(sink.with_detail(detail)),
@@ -2095,8 +2093,13 @@ fn bench(a: &RunArgs) -> Result<ExitCode, String> {
     let run_campaign = |campaign: &CampaignConfig| -> Result<SweepDigest, String> {
         let mut digest = SweepDigest::new();
         let mut merged = MetricsRegistry::new();
-        for (bench, run, _) in run_campaigns(&a.workloads, workload(a), campaign, a.amnesic, a.jobs)
-        {
+        for (bench, run, _) in run_campaigns(
+            &a.workloads,
+            workload(a.threads, a.scale),
+            campaign,
+            a.amnesic,
+            a.jobs,
+        ) {
             let run = run.map_err(|e| format!("{bench}: {e}"))?;
             digest.fold(bench.name(), &run, &mut merged);
         }
@@ -2306,7 +2309,7 @@ fn run(a: &RunArgs) -> Result<ExitCode, String> {
 fn run_workload(a: &RunArgs, bench: Benchmark) -> Result<(), ExperimentError> {
     let wl = WorkloadConfig {
         seed: a.seed,
-        ..workload(a)
+        ..workload(a.threads, a.scale)
     };
     let mut exp = paper_experiment(bench, wl, |spec| {
         let threshold = a.threshold.unwrap_or(spec.slicer.threshold);
@@ -2759,7 +2762,8 @@ mod tests {
 
     /// Traced runs of several workloads come back per workload and
     /// identical for every jobs value: each worker's sink sees only its
-    /// own workload's events.
+    /// own workload's events, and the instrumented binary `profile` labels
+    /// its flamegraph regions from does not depend on the worker either.
     #[test]
     fn traced_runs_are_jobs_invariant_per_workload() {
         let a = TRACE
@@ -2768,16 +2772,21 @@ mod tests {
         let runs = |jobs| {
             sweep(a.workloads.len(), jobs, |i, _| {
                 faulted_run(&a, a.workloads[i], Some(false), |spec| spec)
-                    .map(|(result, events, _)| (result.cycles, events))
+                    .map(|(result, events, instrumented)| (result.cycles, events, instrumented))
                     .expect("runs")
             })
         };
         let seq = runs(1);
         assert_eq!(seq.len(), 2);
         assert_ne!(seq[0].0, seq[1].0, "two workloads, two traces");
-        for ((s, _), (p, _)) in seq.iter().zip(runs(2)) {
-            assert_eq!(*s, p);
-            assert!(!s.1.is_empty(), "tracing was on");
+        assert_ne!(seq[0].0 .2, seq[1].0 .2, "two workloads, two binaries");
+        for jobs in [2, 4] {
+            for ((s, _), (p, _)) in seq.iter().zip(runs(jobs)) {
+                assert_eq!(s.0, p.0, "jobs={jobs}: cycles");
+                assert_eq!(s.1, p.1, "jobs={jobs}: traced events");
+                assert_eq!(s.2, p.2, "jobs={jobs}: instrumented binary");
+                assert!(!s.1.is_empty(), "tracing was on");
+            }
         }
     }
 

@@ -6,9 +6,9 @@
 //! exact percentages (EXPERIMENTS.md records the full-scale values).
 
 use acr::Experiment;
-use acr_bench::paper_experiment;
+use acr_bench::{paper_experiment, workload};
 use acr_ckpt::Scheme;
-use acr_workloads::{Benchmark, WorkloadConfig};
+use acr_workloads::Benchmark;
 
 const SCALE: f64 = 0.5;
 const THREADS: u32 = 8;
@@ -17,10 +17,7 @@ const THREADS: u32 = 8;
 const CHECKPOINTS: u32 = 12;
 
 fn experiment(bench: Benchmark, scheme: Scheme) -> Experiment {
-    let wl = WorkloadConfig::default()
-        .with_threads(THREADS)
-        .with_scale(SCALE);
-    paper_experiment(bench, wl, |spec| {
+    paper_experiment(bench, workload(THREADS, SCALE), |spec| {
         spec.with_checkpoints(CHECKPOINTS).with_scheme(scheme)
     })
     .expect("valid workload")

@@ -4,19 +4,17 @@
 //! against shadow snapshots (oracle on).
 
 use acr::{Experiment, ExperimentSpec};
+use acr_bench::paper_experiment;
 use acr_ckpt::Scheme;
 use acr_sim::{Machine, MachineConfig, NoHooks};
 use acr_workloads::{generate, Benchmark, WorkloadConfig};
 
-fn tiny(bench: Benchmark, threads: u32) -> acr_isa::Program {
-    generate(
-        bench,
-        &WorkloadConfig {
-            threads,
-            scale: 0.15,
-            seed: 42,
-        },
-    )
+fn tiny(threads: u32) -> WorkloadConfig {
+    WorkloadConfig {
+        threads,
+        scale: 0.15,
+        seed: 42,
+    }
 }
 
 fn reference_mem(p: &acr_isa::Program, threads: u32) -> Vec<u64> {
@@ -25,21 +23,25 @@ fn reference_mem(p: &acr_isa::Program, threads: u32) -> Vec<u64> {
     m.mem().image().words().to_vec()
 }
 
-fn spec(threads: u32, bench: Benchmark) -> ExperimentSpec {
-    ExperimentSpec::default()
-        .with_cores(threads)
-        .with_checkpoints(6)
-        .with_threshold(bench.default_threshold())
-        .with_oracle(true)
+/// The paper experiment of `bench` on a tiny workload with six
+/// checkpoints and the shadow-memory oracle on, refined by `refine`.
+fn experiment(
+    bench: Benchmark,
+    threads: u32,
+    refine: impl FnOnce(ExperimentSpec) -> ExperimentSpec,
+) -> Experiment {
+    paper_experiment(bench, tiny(threads), |spec| {
+        refine(spec.with_checkpoints(6).with_oracle(true))
+    })
+    .expect("valid")
 }
 
 #[test]
 fn ckpt_and_reckpt_preserve_semantics_error_free() {
     for bench in [Benchmark::Bt, Benchmark::Is, Benchmark::Cg] {
         let threads = 2;
-        let p = tiny(bench, threads);
-        let reference = reference_mem(&p, threads);
-        let mut exp = Experiment::new(p.clone(), spec(threads, bench)).expect("valid");
+        let mut exp = experiment(bench, threads, |spec| spec);
+        let reference = reference_mem(exp.program(), threads);
         for r in [
             exp.run_ckpt(0).expect("ckpt"),
             exp.run_reckpt(0).expect("reckpt"),
@@ -52,7 +54,7 @@ fn ckpt_and_reckpt_preserve_semantics_error_free() {
             );
         }
         // Final state equality is checked against a fresh run per config.
-        let mut exp2 = Experiment::new(p, spec(threads, bench)).expect("valid");
+        let mut exp2 = experiment(bench, threads, |spec| spec);
         let _ = exp2.run_no_ckpt().expect("no ckpt");
         assert_eq!(
             exp2.run_no_ckpt().expect("cached").cycles,
@@ -66,9 +68,8 @@ fn ckpt_and_reckpt_preserve_semantics_error_free() {
 fn recovery_reproduces_reference_memory_with_errors() {
     for bench in [Benchmark::Dc, Benchmark::Ft, Benchmark::Lu] {
         let threads = 4;
-        let p = tiny(bench, threads);
-        let reference = reference_mem(&p, threads);
-        let mut exp = Experiment::new(p, spec(threads, bench)).expect("valid");
+        let mut exp = experiment(bench, threads, |spec| spec);
+        let reference = reference_mem(exp.program(), threads);
         for errors in [1u32, 3] {
             let ckpt = exp.run_ckpt(errors).expect("ckpt_e");
             let reckpt = exp.run_reckpt(errors).expect("reckpt_e");
@@ -90,7 +91,7 @@ fn recovery_reproduces_reference_memory_with_errors() {
         // confirm end-state correctness via a final error-free ACR run.
         let r = exp.run_reckpt(0).expect("reckpt");
         drop(r);
-        let p2 = tiny(bench, threads);
+        let p2 = generate(bench, &tiny(threads));
         assert_eq!(reference_mem(&p2, threads), reference);
     }
 }
@@ -102,9 +103,9 @@ fn local_scheme_preserves_semantics_for_group_local_benchmarks() {
     // shadow; here we additionally check the run completes and recovers.
     for bench in [Benchmark::Ft, Benchmark::Mg] {
         let threads = 4;
-        let p = tiny(bench, threads);
-        let s = spec(threads, bench).with_scheme(Scheme::LocalCoordinated);
-        let mut exp = Experiment::new(p, s).expect("valid");
+        let mut exp = experiment(bench, threads, |spec| {
+            spec.with_scheme(Scheme::LocalCoordinated)
+        });
         let r = exp.run_reckpt(1).expect("local reckpt");
         let rep = r.report.as_ref().expect("report");
         assert_eq!(rep.errors_handled, 1, "{bench}");
@@ -119,8 +120,7 @@ fn local_scheme_preserves_semantics_for_group_local_benchmarks() {
 fn acr_shrinks_checkpoints_on_every_benchmark() {
     for bench in Benchmark::ALL {
         let threads = 2;
-        let p = tiny(bench, threads);
-        let mut exp = Experiment::new(p, spec(threads, bench)).expect("valid");
+        let mut exp = experiment(bench, threads, |spec| spec);
         let ckpt = exp.run_ckpt(0).expect("ckpt");
         let reckpt = exp.run_reckpt(0).expect("reckpt");
         assert!(

@@ -21,7 +21,7 @@
 //! (`cargo test --release`); CI also checks them through the CLI itself.
 
 use acr::{AcrPolicy, AddrMapConfig};
-use acr_bench::{paper_experiment, run_campaigns, FIGURE_TASKS};
+use acr_bench::{paper_experiment, run_campaigns, workload, FIGURE_TASKS};
 use acr_ckpt::{
     detection_latency, uniform_points, BerConfig, BerEngine, CampaignConfig, ErrorSchedule,
     NoOmission, OmissionPolicy, ResilienceConfig, ScheduledError, Scheme, SecondaryStorage,
@@ -52,13 +52,6 @@ fn combined(hashes: &[u64]) -> u64 {
     h.finish()
 }
 
-/// The pinned workloads' configuration.
-fn workload() -> WorkloadConfig {
-    WorkloadConfig::default()
-        .with_threads(THREADS)
-        .with_scale(SCALE)
-}
-
 /// Runs `acr_cli inject --seed <seed> --faults <faults>` over `benches`
 /// with the rest of the campaign from `template`, and returns the
 /// per-workload content hashes. A parallel jobs value makes the pins also
@@ -75,7 +68,7 @@ fn content_hashes(
         count: faults,
         ..template.clone()
     };
-    run_campaigns(benches, workload(), &campaign, true, jobs)
+    run_campaigns(benches, workload(THREADS, SCALE), &campaign, true, jobs)
         .into_iter()
         .map(|(_, run, _)| run.expect("campaign runs").report.content_hash())
         .collect()
@@ -89,8 +82,9 @@ fn content_hashes(
 fn phantom_digest() -> u64 {
     let mut h = Fnv1a::new();
     for bench in BENCHES {
-        let mut global = paper_experiment(bench, workload(), |spec| spec).expect("valid workload");
-        let mut local = paper_experiment(bench, workload(), |spec| {
+        let mut global =
+            paper_experiment(bench, workload(THREADS, SCALE), |spec| spec).expect("valid workload");
+        let mut local = paper_experiment(bench, workload(THREADS, SCALE), |spec| {
             spec.with_scheme(Scheme::LocalCoordinated)
         })
         .expect("valid workload");
@@ -455,7 +449,7 @@ fn fold_engine_run<P: OmissionPolicy>(h: &mut Fnv1a, program: &Program, policy: 
 /// the baseline and the ACR policy.
 fn engine_digest() -> u64 {
     let bench = Benchmark::Mg;
-    let raw = generate(bench, &workload());
+    let raw = generate(bench, &workload(THREADS, SCALE));
     let (acr, stats) = instrument(
         &raw,
         &SlicerConfig {

@@ -3,7 +3,7 @@
 //! round-trip exactly, and make `diff` fail hard on any sim perturbation
 //! while host timings only trip the tolerance band.
 
-use acr::{sweep, Experiment, ExperimentSpec};
+use acr::{campaign_sweep, Experiment, ExperimentSpec};
 use acr_ckpt::CampaignConfig;
 use acr_isa::{AluOp, Program, ProgramBuilder, Reg};
 use acr_trace::{
@@ -41,21 +41,14 @@ fn manifest_for(jobs: usize, wall_ns: u64) -> Manifest {
         num_checkpoints: 5,
         ..CampaignConfig::default()
     };
-    let split = template.split(2);
-    let outcomes = sweep(split.len(), jobs, |i, inner| {
-        let (w, cfg) = &split[i];
+    let outcomes = campaign_sweep(&template, 2, true, jobs, |w| {
         let spec = ExperimentSpec::default().with_cores(2).with_checkpoints(5);
-        let cfg = CampaignConfig {
-            jobs: inner,
-            ..cfg.clone()
-        };
-        Experiment::new(kernel(2, 40 + 10 * *w as u64), spec)
-            .and_then(|mut exp| exp.run_fault_campaign(&cfg, true))
+        Experiment::new(kernel(2, 40 + 10 * w as u64), spec)
     });
     let mut hashes: Vec<(String, u64)> = Vec::new();
     let mut merged = MetricsRegistry::new();
     let mut combined = Fnv1a::new();
-    for ((w, _), (run, _)) in split.iter().zip(outcomes) {
+    for (w, run, _) in outcomes {
         let run = run.expect("sweep runs");
         hashes.push((format!("kernel{w}"), run.report.content_hash()));
         combined.write_u64(run.report.content_hash());

@@ -4,6 +4,7 @@
 //! every recovery and (b) finish with exactly the reference memory image.
 
 use acr::{AcrPolicy, AddrMapConfig, Experiment, ExperimentSpec};
+use acr_bench::{paper_experiment, workload};
 use acr_ckpt::{
     detection_latency, uniform_points, BerConfig, BerEngine, BerReport, CampaignConfig,
     CaseOutcome, ErrorSchedule, NoOmission, OmissionPolicy, ResilienceConfig, ScheduledError,
@@ -14,7 +15,7 @@ use acr_mem::CoreId;
 use acr_rng::check::forall;
 use acr_rng::SmallRng;
 use acr_sim::{FaultKindSet, FaultPlan, FaultPlanConfig, Machine, MachineConfig, NoHooks};
-use acr_workloads::{generate, Benchmark, WorkloadConfig};
+use acr_workloads::Benchmark;
 
 /// A small parametric kernel family: each thread runs `sweeps` passes
 /// over `words` private words, with a per-thread op/constant mix, an
@@ -261,19 +262,12 @@ fn guaranteed_recoverable_faults_recover_under_every_scheme() {
         |rng| {
             let bench = *rng.choose(&Benchmark::ALL);
             let threads = rng.gen_range(2..5u32);
-            let program = generate(
-                bench,
-                &WorkloadConfig::default()
-                    .with_threads(threads)
-                    .with_scale(0.03),
-            );
             let seed = rng.gen_range(0..u64::MAX);
             for scheme in [Scheme::GlobalCoordinated, Scheme::LocalCoordinated] {
-                let spec = ExperimentSpec::default()
-                    .with_cores(threads)
-                    .with_threshold(bench.default_threshold())
-                    .with_scheme(scheme);
-                let mut exp = Experiment::new(program.clone(), spec).expect("valid workload");
+                let mut exp = paper_experiment(bench, workload(threads, 0.03), |spec| {
+                    spec.with_scheme(scheme)
+                })
+                .expect("valid workload");
                 let cfg = CampaignConfig {
                     seed,
                     count: 6,

@@ -9,12 +9,12 @@
 //! them) and are counted, not skipped silently.
 
 use acr::{Experiment, ExperimentSpec};
-use acr_bench::paper_experiment;
+use acr_bench::{paper_experiment, workload};
 use acr_ckpt::{CampaignConfig, ShrinkConfig};
 use acr_isa::{AluOp, Program, ProgramBuilder, Reg};
 use acr_rng::check::forall;
 use acr_sim::FaultKindSet;
-use acr_workloads::{Benchmark, WorkloadConfig};
+use acr_workloads::Benchmark;
 
 /// The store-heavy kernel family the parallel-campaign properties use;
 /// `mult` perturbs the data flow so draws exercise different Slices.
@@ -139,7 +139,7 @@ fn shrunk_plans_are_minimal_reproducers_for_every_jobs_value() {
 /// replays with the same trigger and probable cause.
 #[test]
 fn dense_cg_case_shrinks_by_half_with_the_same_signature() {
-    let wl = WorkloadConfig::default().with_threads(2).with_scale(0.05);
+    let wl = workload(2, 0.05);
     let cfg = CampaignConfig {
         seed: 42,
         count: 10,

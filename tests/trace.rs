@@ -3,28 +3,33 @@
 //! through our own parser with properly nested spans.
 
 use acr::{Experiment, ExperimentSpec, RunResult};
+use acr_bench::{paper_experiment, workload};
 use acr_ckpt::CampaignConfig;
 use acr_mem::CoreId;
 use acr_sim::{Fault, FaultKind, FaultKindSet};
 use acr_trace::{chrome_trace_json, validate_chrome_trace, SharedSink};
-use acr_workloads::{generate, Benchmark, WorkloadConfig};
+use acr_workloads::Benchmark;
 
-fn spec_for(bench: Benchmark, threads: u32) -> ExperimentSpec {
-    ExperimentSpec::default()
-        .with_cores(threads)
-        .with_checkpoints(8)
-        .with_threshold(bench.default_threshold())
+/// The paper experiment of `bench` at two threads, scale 0.03 and eight
+/// checkpoints, refined by `refine`.
+fn experiment(
+    bench: Benchmark,
+    refine: impl FnOnce(ExperimentSpec) -> ExperimentSpec,
+) -> Experiment {
+    paper_experiment(bench, workload(2, 0.03), |spec| {
+        refine(spec.with_checkpoints(8))
+    })
+    .expect("valid program")
 }
 
-/// Runs ACR under one injected recoverable fault with the given spec and
-/// returns the result (the report carries recoveries and, when sampling
-/// is on, the metrics series).
-fn faulted_run(bench: Benchmark, spec: ExperimentSpec) -> RunResult {
-    let p = generate(
-        bench,
-        &WorkloadConfig::default().with_threads(2).with_scale(0.03),
-    );
-    let mut exp = Experiment::new(p, spec).expect("valid program");
+/// Runs ACR under one injected recoverable fault with the refined spec
+/// and returns the result (the report carries recoveries and, when
+/// sampling is on, the metrics series).
+fn faulted_run(
+    bench: Benchmark,
+    refine: impl FnOnce(ExperimentSpec) -> ExperimentSpec,
+) -> RunResult {
+    let mut exp = experiment(bench, refine);
     let total = exp.total_work().expect("baseline runs");
     let fault = Fault {
         at_progress: total / 2,
@@ -36,10 +41,10 @@ fn faulted_run(bench: Benchmark, spec: ExperimentSpec) -> RunResult {
 
 fn traced_export(bench: Benchmark, detail: bool) -> String {
     let (sink, events) = SharedSink::memory();
-    let spec = spec_for(bench, 2)
-        .with_trace(sink.with_detail(detail))
-        .with_sample_interval(2000);
-    let run = faulted_run(bench, spec);
+    let run = faulted_run(bench, |spec| {
+        spec.with_trace(sink.with_detail(detail))
+            .with_sample_interval(2000)
+    });
     let report = run.report.as_ref().expect("engine runs carry a report");
     let recorded = events.borrow().events().to_vec();
     chrome_trace_json(&recorded, Some(&report.series))
@@ -59,14 +64,12 @@ fn same_seed_traces_are_byte_identical() {
 /// statistics — the sink is purely observational, even at detail level.
 #[test]
 fn tracing_does_not_perturb_the_run() {
-    let untraced = faulted_run(Benchmark::Is, spec_for(Benchmark::Is, 2));
+    let untraced = faulted_run(Benchmark::Is, |spec| spec);
     let (sink, _events) = SharedSink::memory();
-    let traced = faulted_run(
-        Benchmark::Is,
-        spec_for(Benchmark::Is, 2)
-            .with_trace(sink.with_detail(true))
-            .with_sample_interval(1000),
-    );
+    let traced = faulted_run(Benchmark::Is, |spec| {
+        spec.with_trace(sink.with_detail(true))
+            .with_sample_interval(1000)
+    });
     assert_eq!(untraced.cycles, traced.cycles, "cycles perturbed");
     assert_eq!(untraced.sim, traced.sim, "instruction mix perturbed");
     assert_eq!(untraced.mem, traced.mem, "memory stats perturbed");
@@ -82,12 +85,7 @@ fn tracing_does_not_perturb_the_run() {
 #[test]
 fn sampling_does_not_change_campaign_hash() {
     let run = |sample_interval: u64| {
-        let p = generate(
-            Benchmark::Is,
-            &WorkloadConfig::default().with_threads(2).with_scale(0.03),
-        );
-        let spec = spec_for(Benchmark::Is, 2);
-        let mut exp = Experiment::new(p, spec).expect("valid program");
+        let mut exp = experiment(Benchmark::Is, |spec| spec);
         let cfg = CampaignConfig {
             seed: 42,
             count: 12,
