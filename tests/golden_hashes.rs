@@ -272,25 +272,31 @@ fn golden_hash_local_crashes() {
     assert_eq!(combined(&hashes), 0xe1ac127ee86a7cd1, "combined hash moved");
 }
 
-/// Per-task FNV-1a hashes of the figure reports `acr_cli figures --scale
-/// 0.05 --only fig01,table1,figs06-09,fig10` prints, the same values its
-/// manifest records. These were taken from the per-figure report
-/// functions before they were folded into one task list.
-#[test]
-fn golden_hash_figures() {
-    let hashes: Vec<(&str, u64)> = FIGURE_TASKS
+/// FNV-1a hash of each report of each `FIGURE_TASKS` entry named in
+/// `names`, run at `scale`: the value `acr_cli figures --scale <scale>
+/// --only <names>` records per task in its manifest.
+fn figure_task_hashes(names: &[&str], scale: f64) -> Vec<(&'static str, u64)> {
+    FIGURE_TASKS
         .iter()
-        .filter(|(name, _)| ["fig01", "table1", "figs06-09", "fig10"].contains(name))
+        .filter(|(name, _)| names.contains(name))
         .map(|(name, run)| {
             let mut h = Fnv1a::new();
-            for report in run(0.05).expect("figure task runs") {
+            for report in run(scale).expect("figure task runs") {
                 h.write(report.as_bytes());
             }
             (*name, h.finish())
         })
-        .collect();
+        .collect()
+}
+
+/// Per-task hashes of `acr_cli figures --scale 0.05 --only
+/// fig01,table1,figs06-09,fig10`, the same values its manifest records.
+/// These were taken from the per-figure report functions before they were
+/// folded into one task list.
+#[test]
+fn golden_hash_figures() {
     assert_eq!(
-        hashes,
+        figure_task_hashes(&["fig01", "table1", "figs06-09", "fig10"], 0.05),
         [
             ("fig01", 0x98a9c589205a0d4b),
             ("table1", 0x632bade0057951a3),
@@ -298,6 +304,35 @@ fn golden_hash_figures() {
             ("fig10", 0x1dca18ca347e1e35),
         ],
         "figure report hashes moved"
+    );
+}
+
+/// Per-task hashes of `acr_cli figures --scale 0.01 --only
+/// table2,fig11,fig12`, taken before these reports shared one threshold
+/// loop and one sweep table. Every workload phase runs at least one sweep,
+/// so no smaller scale makes these runs cheaper.
+#[test]
+fn golden_hash_sweep_figures() {
+    assert_eq!(
+        figure_task_hashes(&["table2", "fig11", "fig12"], 0.01),
+        [
+            ("table2", 0xefcc9aac2227cd86),
+            ("fig11", 0x6a90c887e4cd59f9),
+            ("fig12", 0xf806d92640ceead0),
+        ],
+        "sweep report hashes moved"
+    );
+}
+
+/// `acr_cli figures --scale 0.01 --only scalability`: the 16- and
+/// 32-thread runs make it the costliest task, so it is its own test and
+/// runs next to the sweep pin.
+#[test]
+fn golden_hash_scalability() {
+    assert_eq!(
+        figure_task_hashes(&["scalability"], 0.01),
+        [("scalability", 0xe5af022e0796d27c)],
+        "scalability report hash moved"
     );
 }
 
