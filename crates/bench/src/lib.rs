@@ -12,7 +12,7 @@ pub mod figures;
 use acr::{
     campaign_sweep, CampaignRunResult, Experiment, ExperimentError, ExperimentSpec, RunResult,
 };
-use acr_ckpt::{CampaignConfig, Scheme};
+use acr_ckpt::CampaignConfig;
 use acr_workloads::{generate, Benchmark, WorkloadConfig};
 
 /// Default thread count of the paper's main figures.
@@ -81,15 +81,10 @@ pub struct MainRow {
 }
 
 impl MainRow {
-    /// Runs all five configurations for `bench`.
-    pub fn run(
-        bench: Benchmark,
-        threads: u32,
-        scale: f64,
-        scheme: Scheme,
-    ) -> Result<Self, ExperimentError> {
-        let wl = workload(threads, scale);
-        let mut exp = paper_experiment(bench, wl, |spec| spec.with_scheme(scheme))?;
+    /// Runs all five configurations for `bench` at `threads` threads and
+    /// `scale`, under the global coordinated scheme.
+    pub fn run(bench: Benchmark, threads: u32, scale: f64) -> Result<Self, ExperimentError> {
+        let mut exp = paper_experiment(bench, workload(threads, scale), |spec| spec)?;
         Ok(MainRow {
             bench,
             no_ckpt: exp.run_no_ckpt()?,
@@ -125,7 +120,7 @@ pub static FIGURE_TASKS: &[FigureTask] = &[
     ("fig01", |_| Ok(vec![figures::fig01_report()])),
     ("table1", |_| Ok(vec![figures::table1_report()])),
     ("figs06-09", |scale| {
-        let rows = figures::main_sweep(DEFAULT_THREADS, scale)?;
+        let rows = figures::main_sweep(scale)?;
         Ok(vec![
             figures::fig06_report(&rows),
             figures::fig07_report(&rows),
@@ -133,38 +128,33 @@ pub static FIGURE_TASKS: &[FigureTask] = &[
             figures::fig09_report(&rows),
         ])
     }),
-    ("table2", |s| {
-        one(figures::table2_report(DEFAULT_THREADS, s))
-    }),
-    ("fig10", |s| one(figures::fig10_report(DEFAULT_THREADS, s))),
-    ("fig10-csv", |s| one(figures::fig10_csv(DEFAULT_THREADS, s))),
-    ("fig11", |s| one(figures::fig11_report(DEFAULT_THREADS, s))),
-    ("fig12", |s| one(figures::fig12_report(DEFAULT_THREADS, s))),
+    ("table2", |s| one(figures::table2_report(s))),
+    ("fig10", |s| one(figures::fig10_report(s))),
+    ("fig10-csv", |s| one(figures::fig10_csv(s))),
+    ("fig11", |s| one(figures::fig11_report(s))),
+    ("fig12", |s| one(figures::fig12_report(s))),
     ("scalability", |s| one(figures::scalability_report(s))),
-    ("fig13", |s| one(figures::fig13_report(DEFAULT_THREADS, s))),
+    ("fig13", |s| one(figures::fig13_report(s))),
     ("ablation-addrmap", |s| {
-        one(figures::ablation_addrmap_report(DEFAULT_THREADS, s))
+        one(figures::ablation_addrmap_report(s))
     }),
     ("ablation-detection-latency", |s| {
-        one(figures::ablation_detection_latency_report(
-            DEFAULT_THREADS,
-            s,
-        ))
+        one(figures::ablation_detection_latency_report(s))
     }),
     ("ablation-hierarchical", |s| {
-        one(figures::ablation_hierarchical_report(DEFAULT_THREADS, s))
+        one(figures::ablation_hierarchical_report(s))
     }),
     ("ablation-scratchpad", |s| {
-        one(figures::ablation_scratchpad_report(DEFAULT_THREADS, s))
+        one(figures::ablation_scratchpad_report(s))
     }),
     ("ablation-trivial-slices", |s| {
-        one(figures::ablation_trivial_slices_report(DEFAULT_THREADS, s))
+        one(figures::ablation_trivial_slices_report(s))
     }),
     ("energy-breakdown", |s| {
-        one(figures::energy_breakdown_report(DEFAULT_THREADS, s))
+        one(figures::energy_breakdown_report(s))
     }),
     ("extension-placement", |s| {
-        one(figures::extension_placement_report(DEFAULT_THREADS, s))
+        one(figures::extension_placement_report(s))
     }),
 ];
 
@@ -212,8 +202,7 @@ mod tests {
 
     #[test]
     fn main_row_runs_one_benchmark_small() {
-        let row =
-            MainRow::run(Benchmark::Cg, 2, 0.1, acr_ckpt::Scheme::GlobalCoordinated).expect("runs");
+        let row = MainRow::run(Benchmark::Cg, 2, 0.1).expect("runs");
         assert!(row.ckpt_ne.cycles >= row.no_ckpt.cycles);
         let f6 = crate::figures::fig06_report(std::slice::from_ref(&row));
         assert!(f6.contains("cg"));

@@ -91,9 +91,9 @@ pub struct CampaignConfig {
     /// in.
     pub jobs: usize,
     /// Collect a one-line-per-case progress log into
-    /// [`CampaignReport::case_log`]. Lines are buffered per shard and
-    /// flushed in case order at merge, so the log is jobs-invariant; it
-    /// never enters the content hash.
+    /// [`CampaignReport::case_log`]. Lines are written from the finished
+    /// cases in case order, so the log is jobs-invariant; it never enters
+    /// the content hash.
     pub progress: bool,
     /// Attach an always-on [`FlightRecorder`] to every case's machine
     /// (default). The recorder is a fixed-capacity ring sink — purely
@@ -217,7 +217,7 @@ impl From<CkptError> for CampaignError {
 }
 
 /// How one injected fault ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CaseOutcome {
     /// Recovery converged: final architectural state is word-for-word
     /// identical to the fault-free reference.
@@ -226,6 +226,7 @@ pub enum CaseOutcome {
     /// (possible only for memory flips, which the log may not cover).
     Diverged,
     /// The engine could not finish the run at all.
+    #[default]
     Aborted,
 }
 
@@ -247,8 +248,9 @@ impl CaseOutcome {
     }
 }
 
-/// One fault, one verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One fault, one verdict. The default is the record of an aborted case
+/// that produced no data: every count zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultCaseRecord {
     /// Case index within the campaign.
     pub case: u32,
@@ -434,13 +436,12 @@ pub struct CampaignReport {
     /// only: excluded from [`CampaignReport::content_hash`].
     pub baseline_series: TimeSeries,
     /// Campaign-wide counters and histograms (case outcomes, recovery
-    /// costs, escalation rungs), accumulated per worker shard and folded
-    /// with the loss-free [`MetricsRegistry::merge`] — identical for
-    /// every [`CampaignConfig::jobs`] value. Observational only: excluded
-    /// from [`CampaignReport::content_hash`].
+    /// costs, escalation rungs), folded from the finished cases in case
+    /// order — identical for every [`CampaignConfig::jobs`] value.
+    /// Observational only: excluded from [`CampaignReport::content_hash`].
     pub metrics: MetricsRegistry,
     /// One line per case in case order when [`CampaignConfig::progress`]
-    /// is set (empty otherwise). Buffered per shard, flushed at merge, so
+    /// is set (empty otherwise). Written after every case finished, so
     /// the text never interleaves across workers. Excluded from
     /// [`CampaignReport::content_hash`].
     pub case_log: String,
@@ -452,6 +453,12 @@ pub struct CampaignReport {
     /// campaign hashes are untouched.
     pub postmortems: Vec<PostmortemBundle>,
 }
+
+/// The 18 columns of the historical per-case CSV ([`CampaignReport::csv`]
+/// appends `class`).
+const CSV_V1_HEADER: &str = "case,at_progress,core,kind,detail,recoveries,exception_detections,\
+    shadow_divergence,mem_divergence,reg_divergence,final_retired,restored_records,\
+    recomputed_values,recompute_alu_ops,recovery_stall_cycles,waste_cycles,cycles,outcome";
 
 impl CampaignReport {
     /// Every per-case sum of the campaign, in one pass over the cases.
@@ -567,12 +574,7 @@ impl CampaignReport {
     /// [`csv_v1`]: CampaignReport::content_hash
     pub fn csv(&self) -> String {
         use std::fmt::Write as _;
-        let mut out = String::from(
-            "case,at_progress,core,kind,detail,recoveries,exception_detections,\
-             shadow_divergence,mem_divergence,reg_divergence,final_retired,\
-             restored_records,recomputed_values,recompute_alu_ops,\
-             recovery_stall_cycles,waste_cycles,cycles,outcome,class\n",
-        );
+        let mut out = format!("{CSV_V1_HEADER},class\n");
         for c in &self.cases {
             let _ = writeln!(out, "{},{}", Self::csv_row(c), c.outcome_class());
         }
@@ -586,12 +588,7 @@ impl CampaignReport {
     /// [`CampaignReport::csv`].
     fn csv_v1(&self) -> String {
         use std::fmt::Write as _;
-        let mut out = String::from(
-            "case,at_progress,core,kind,detail,recoveries,exception_detections,\
-             shadow_divergence,mem_divergence,reg_divergence,final_retired,\
-             restored_records,recomputed_values,recompute_alu_ops,\
-             recovery_stall_cycles,waste_cycles,cycles,outcome\n",
-        );
+        let mut out = format!("{CSV_V1_HEADER}\n");
         for c in &self.cases {
             let _ = writeln!(out, "{}", Self::csv_row(c));
         }
@@ -920,25 +917,10 @@ where
             let record = FaultCaseRecord {
                 case: i as u32,
                 fault,
-                recoveries: 0,
-                exception_detections: 0,
-                shadow_divergence: 0,
-                mem_divergence: 0,
-                reg_divergence: 0,
-                final_retired: 0,
-                restored_records: 0,
-                recomputed_values: 0,
-                recompute_alu_ops: 0,
-                recovery_stall_cycles: 0,
-                waste_cycles: 0,
-                cycles: 0,
-                landing_cycle: 0,
                 recovery_fault,
-                replay_retries: 0,
-                generation_fallbacks: 0,
-                degraded_entries: 0,
                 hung,
                 outcome: CaseOutcome::Aborted,
+                ..FaultCaseRecord::default()
             };
             let bundle = PostmortemBundle::capture(
                 if hung { "hang" } else { "abort" },
@@ -975,9 +957,8 @@ fn case_log_line(c: &FaultCaseRecord) -> String {
     )
 }
 
-/// Folds one finished case into a shard's metrics registry. Add-only
-/// counters and histograms, so shard merge order cannot change the
-/// result.
+/// Folds one finished case into the campaign's metrics registry:
+/// add-only counters and histograms.
 fn record_case_metrics(reg: &mut MetricsRegistry, c: &FaultCaseRecord) {
     reg.add("campaign.cases", 1);
     let outcome_key = match c.outcome {
@@ -1153,7 +1134,7 @@ where
 
 /// Like [`run_campaign`], but additionally returns each worker's
 /// host-side load (busy wall time and cases executed, from
-/// [`ParallelRunner::run_sharded_loads`]).
+/// [`ParallelRunner::run_ordered_loads`]).
 ///
 /// The loads are returned *next to* the report, never inside it: a
 /// [`CampaignReport`] compares byte-identically across jobs values while
@@ -1182,37 +1163,26 @@ where
 
     // Dynamic work handout, static (case-index-ordered) result placement:
     // the merged report is identical for every jobs value.
-    let runner = ParallelRunner::new(cfg.jobs);
-    let (results, shards, loads) = runner.run_sharded_loads(
-        faults.len(),
-        MetricsRegistry::new,
-        |i, shard: &mut MetricsRegistry| {
-            let (rec, bundle) = run_fault_case(&ctx, i, std::slice::from_ref(&faults[i]));
-            record_case_metrics(shard, &rec);
-            let line = cfg.progress.then(|| case_log_line(&rec));
-            (rec, line, bundle)
-        },
-    );
+    let (results, loads) = ParallelRunner::new(cfg.jobs).run_ordered_loads(faults.len(), |i| {
+        run_fault_case(&ctx, i, std::slice::from_ref(&faults[i]))
+    });
 
+    // The campaign metrics and the progress log fold the finished cases
+    // in case order.
     let mut metrics = MetricsRegistry::new();
-    for shard in &shards {
-        metrics.merge(shard);
-    }
-    metrics.publish_hist_digests();
-
-    let mut cases = Vec::with_capacity(results.len());
     let mut case_log = String::new();
+    let mut cases = Vec::with_capacity(results.len());
     let mut postmortems = Vec::new();
-    for (rec, line, bundle) in results {
-        if let Some(line) = line {
-            case_log.push_str(&line);
+    for (rec, bundle) in results {
+        record_case_metrics(&mut metrics, &rec);
+        if cfg.progress {
+            case_log.push_str(&case_log_line(&rec));
             case_log.push('\n');
         }
-        if let Some(b) = bundle {
-            postmortems.push(b);
-        }
+        postmortems.extend(bundle);
         cases.push(rec);
     }
+    metrics.publish_hist_digests();
 
     Ok((
         CampaignReport {
@@ -1367,7 +1337,7 @@ mod tests {
         }
     }
 
-    /// The shard-merged registry agrees with the report's own aggregates
+    /// The campaign registry agrees with the report's own aggregates
     /// and carries published histogram digests.
     #[test]
     fn campaign_metrics_match_report_aggregates() {

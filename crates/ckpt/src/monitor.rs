@@ -94,11 +94,6 @@ impl InvariantSummary {
         ]
     }
 
-    /// Total evaluations across all monitors.
-    pub fn total_checks(&self) -> u64 {
-        self.monitors().iter().map(|(_, c)| c.checks).sum()
-    }
-
     /// Total violations across all monitors.
     pub fn total_breaches(&self) -> u64 {
         self.monitors().iter().map(|(_, c)| c.breaches).sum()
@@ -158,7 +153,7 @@ mod tests {
         let mut s = InvariantSummary::default();
         s.observe("log_conservation", 1, 100, None);
         s.observe("machine_audit", 1, 100, None);
-        assert_eq!(s.total_checks(), 2);
+        assert_eq!(s.monitors().map(|(_, c)| c.checks), [1, 0, 0, 0, 1]);
         assert_eq!(s.total_breaches(), 0);
         assert!(s.first_breach.is_none());
     }

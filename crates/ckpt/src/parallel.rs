@@ -83,27 +83,10 @@ impl ParallelRunner {
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        self.run_sharded(n, || (), |i, ()| f(i)).0
+        self.run_ordered_loads(n, f).0
     }
 
-    /// Like [`ParallelRunner::run_ordered`], but each worker additionally
-    /// carries a private shard accumulator created by `init` (e.g. a
-    /// `MetricsRegistry`). Returns the index-ordered results plus the
-    /// shard states in worker order; callers fold the shards with an
-    /// associative, commutative merge so the fold is also
-    /// jobs-invariant.
-    pub fn run_sharded<R, S, I, F>(&self, n: usize, init: I, f: F) -> (Vec<R>, Vec<S>)
-    where
-        R: Send,
-        S: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(usize, &mut S) -> R + Sync,
-    {
-        let (results, shards, _loads) = self.run_sharded_loads(n, init, f);
-        (results, shards)
-    }
-
-    /// Like [`ParallelRunner::run_sharded`], but additionally reports each
+    /// Like [`ParallelRunner::run_ordered`], but additionally reports each
     /// worker's host-side load ([`WorkerLoad`]): wall time spent inside
     /// work items and the number of items the dynamic handout gave it.
     ///
@@ -111,45 +94,35 @@ impl ParallelRunner {
     /// depends on scheduling, so they are *not* jobs-invariant and must
     /// never flow into content hashes or compared reports. They feed the
     /// `host.jobs.*` section of run manifests.
-    pub fn run_sharded_loads<R, S, I, F>(
-        &self,
-        n: usize,
-        init: I,
-        f: F,
-    ) -> (Vec<R>, Vec<S>, Vec<WorkerLoad>)
+    pub fn run_ordered_loads<R, F>(&self, n: usize, f: F) -> (Vec<R>, Vec<WorkerLoad>)
     where
         R: Send,
-        S: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(usize, &mut S) -> R + Sync,
+        F: Fn(usize) -> R + Sync,
     {
         let workers = self.jobs.min(n.max(1));
         if workers <= 1 {
-            let mut shard = init();
             let mut load = WorkerLoad::default();
             let results = (0..n)
                 .map(|i| {
                     let sw = Stopwatch::start();
-                    let r = f(i, &mut shard);
+                    let r = f(i);
                     load.busy_ns += sw.elapsed_ns();
                     load.items += 1;
                     r
                 })
                 .collect();
-            return (results, vec![shard], vec![load]);
+            return (results, vec![load]);
         }
 
         let next = AtomicUsize::new(0);
         let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
         slots.resize_with(n, || None);
-        let mut shards: Vec<S> = Vec::with_capacity(workers);
         let mut loads: Vec<WorkerLoad> = Vec::with_capacity(workers);
 
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     scope.spawn(|| {
-                        let mut shard = init();
                         let mut load = WorkerLoad::default();
                         let mut done: Vec<(usize, R)> = Vec::new();
                         loop {
@@ -158,21 +131,20 @@ impl ParallelRunner {
                                 break;
                             }
                             let sw = Stopwatch::start();
-                            done.push((i, f(i, &mut shard)));
+                            done.push((i, f(i)));
                             load.busy_ns += sw.elapsed_ns();
                             load.items += 1;
                         }
-                        (done, shard, load)
+                        (done, load)
                     })
                 })
                 .collect();
             for h in handles {
                 match h.join() {
-                    Ok((done, shard, load)) => {
+                    Ok((done, load)) => {
                         for (i, r) in done {
                             slots[i] = Some(r);
                         }
-                        shards.push(shard);
                         loads.push(load);
                     }
                     Err(panic) => std::panic::resume_unwind(panic),
@@ -184,7 +156,7 @@ impl ParallelRunner {
             .into_iter()
             .map(|s| s.expect("every index 0..n was claimed by exactly one worker"))
             .collect();
-        (results, shards, loads)
+        (results, loads)
     }
 }
 
@@ -217,29 +189,12 @@ mod tests {
     }
 
     #[test]
-    fn shards_cover_every_item_exactly_once() {
-        for jobs in [1, 3, 8] {
-            let (results, shards) = ParallelRunner::new(jobs).run_sharded(
-                50,
-                || 0u64,
-                |i, acc: &mut u64| {
-                    *acc += 1;
-                    i
-                },
-            );
-            assert_eq!(results, (0..50).collect::<Vec<_>>(), "jobs={jobs}");
-            assert_eq!(shards.iter().sum::<u64>(), 50, "jobs={jobs}");
-            assert_eq!(shards.len(), jobs.min(50), "jobs={jobs}");
-        }
-    }
-
-    #[test]
     fn loads_account_for_every_item_without_touching_results() {
-        for jobs in [1, 4] {
-            let (results, _shards, loads) =
-                ParallelRunner::new(jobs).run_sharded_loads(30, || (), |i, ()| i as u64 * 2);
+        for jobs in [1, 3, 4, 8] {
+            let (results, loads) =
+                ParallelRunner::new(jobs).run_ordered_loads(30, |i| i as u64 * 2);
             assert_eq!(results, (0..30).map(|i| i * 2).collect::<Vec<u64>>());
-            assert_eq!(loads.len(), jobs.min(30), "one load per worker");
+            assert_eq!(loads.len(), jobs, "one load per worker");
             assert_eq!(
                 loads.iter().map(|l| l.items).sum::<u64>(),
                 30,

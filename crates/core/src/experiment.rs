@@ -259,6 +259,12 @@ impl RunResult {
         100.0 * (a - b) / b
     }
 
+    /// Percentage execution-time reduction this run achieves versus
+    /// `other` (positive when this run is faster).
+    pub fn time_reduction_pct(&self, other: &RunResult) -> f64 {
+        100.0 * (other.cycles as f64 - self.cycles as f64) / other.cycles as f64
+    }
+
     /// Percentage EDP reduction this run achieves versus `other`
     /// (positive when this run is better).
     pub fn edp_reduction_pct(&self, other: &RunResult) -> f64 {
@@ -974,6 +980,7 @@ mod tests {
         assert!(reckpt_ne.cycles <= ckpt_ne.cycles);
         assert!(ckpt_ne.cycles < ckpt_e.cycles);
         assert!(ckpt_ne.time_overhead_pct(&no) > 0.0);
+        assert!(reckpt_ne.time_reduction_pct(&ckpt_ne) >= 0.0);
         assert!(reckpt_ne.edp_reduction_pct(&ckpt_ne) >= 0.0);
     }
 

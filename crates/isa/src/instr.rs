@@ -305,12 +305,6 @@ pub enum Instr {
 }
 
 impl Instr {
-    /// Returns `true` for instructions that access data memory.
-    #[inline]
-    pub fn is_mem(&self) -> bool {
-        matches!(self, Instr::Load { .. } | Instr::Store { .. })
-    }
-
     /// Returns `true` for arithmetic/logic register-to-register work
     /// (`Imm`, `Alu`, `AluI`) — the only instruction kinds a Slice may
     /// contain per Section II-B of the paper.
@@ -419,7 +413,6 @@ mod tests {
             base: Reg(0),
             disp: 8,
         };
-        assert!(st.is_mem());
         assert!(!st.is_arith());
         assert_eq!(st.def(), None);
         assert_eq!(st.uses(), vec![Reg(1), Reg(0)]);

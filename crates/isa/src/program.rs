@@ -310,11 +310,6 @@ impl Program {
         self.threads.iter().map(ThreadCode::len).sum()
     }
 
-    /// Total instructions across all embedded Slices.
-    pub fn slice_table_len(&self) -> usize {
-        self.slices.iter().map(Slice::len).sum()
-    }
-
     /// Static instruction mix across all threads.
     pub fn instruction_mix(&self) -> InstructionMix {
         let mut mix = InstructionMix::default();
@@ -449,7 +444,7 @@ mod tests {
         let p = Program::new(vec![code], vec![one_slice()], 4096);
         assert!(p.validate().is_ok());
         assert_eq!(p.static_len(), 4);
-        assert_eq!(p.slice_table_len(), 1);
+        assert_eq!(p.slices().iter().map(Slice::len).sum::<usize>(), 1);
     }
 
     #[test]

@@ -44,12 +44,6 @@ impl WordAddr {
     pub fn line(self) -> LineAddr {
         LineAddr(self.0 / LINE_BYTES)
     }
-
-    /// Word offset within its cache line (0..[`WORDS_PER_LINE`]).
-    #[inline]
-    pub fn word_in_line(self) -> u64 {
-        (self.0 % LINE_BYTES) / WORD_BYTES
-    }
 }
 
 impl fmt::Display for WordAddr {
@@ -95,7 +89,7 @@ mod tests {
     fn word_line_mapping() {
         let w = WordAddr::new(64 + 24);
         assert_eq!(w.line(), LineAddr(1));
-        assert_eq!(w.word_in_line(), 3);
+        assert_eq!(w.word_index() as u64 % WORDS_PER_LINE, 3);
         assert_eq!(w.word_index(), 11);
     }
 

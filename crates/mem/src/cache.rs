@@ -93,8 +93,6 @@ pub struct Cache {
     /// Occupied ways per set.
     occ: Vec<u16>,
     tick: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl Cache {
@@ -117,8 +115,6 @@ impl Cache {
             ways: vec![Way::EMPTY; num_sets * config.ways],
             occ: vec![0; num_sets],
             tick: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -163,10 +159,8 @@ impl Cache {
             if write {
                 w.dirty = true;
             }
-            self.hits += 1;
             LookupResult::Hit
         } else {
-            self.misses += 1;
             LookupResult::Miss
         }
     }
@@ -255,11 +249,6 @@ impl Cache {
     pub fn invalidate_all(&mut self) {
         self.occ.fill(0);
     }
-
-    /// (hits, misses) counters.
-    pub fn hit_miss(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
 }
 
 #[cfg(test)]
@@ -281,7 +270,6 @@ mod tests {
         assert_eq!(c.access(LineAddr(0), false), LookupResult::Miss);
         assert!(c.fill(LineAddr(0), false).is_none());
         assert_eq!(c.access(LineAddr(0), false), LookupResult::Hit);
-        assert_eq!(c.hit_miss(), (1, 1));
     }
 
     #[test]

@@ -114,11 +114,6 @@ impl LogEpoch {
     pub fn baseline_bytes(&self) -> u64 {
         (self.records.len() + self.omitted.len()) as u64 * LOG_RECORD_BYTES
     }
-
-    /// Number of first-updates in the interval (logged + omitted).
-    pub fn first_updates(&self) -> usize {
-        self.records.len() + self.omitted.len()
-    }
 }
 
 /// Memory-controller-resident log machinery: the per-word logged bits for
@@ -413,7 +408,7 @@ mod tests {
         let e = lc.current();
         assert_eq!(e.bytes(), LOG_RECORD_BYTES);
         assert_eq!(e.baseline_bytes(), 2 * LOG_RECORD_BYTES);
-        assert_eq!(e.first_updates(), 2);
+        assert_eq!((e.records.len(), e.omitted.len()), (1, 1));
     }
 
     #[test]

@@ -101,11 +101,6 @@ impl TraceEvent {
         }
         self
     }
-
-    /// End of the span (`cycle + dur`, saturating).
-    pub fn end_cycle(&self) -> u64 {
-        self.cycle.saturating_add(self.dur)
-    }
 }
 
 /// Where emitted events go. Implementations must be deterministic: event
@@ -259,7 +254,7 @@ mod tests {
         assert_eq!(sink.len(), 2);
         assert_eq!(sink.events()[0].name, "a");
         assert_eq!(sink.events()[0].args[0], Some(("k", 1)));
-        assert_eq!(sink.events()[0].end_cycle(), 15);
+        assert_eq!((sink.events()[0].cycle, sink.events()[0].dur), (10, 5));
         assert_eq!(sink.events()[1].kind, EventKind::Instant);
     }
 

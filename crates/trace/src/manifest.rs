@@ -24,7 +24,6 @@
 //! an `f64` intact.
 
 use crate::json::{read_document, render_json, Coder, JsonError, JsonResult, Layout};
-use crate::perf::WorkerLoad;
 
 /// Manifest schema identifier (bump on breaking layout changes).
 pub const MANIFEST_SCHEMA: &str = "acr-manifest-v1";
@@ -181,18 +180,6 @@ impl Manifest {
     /// Looks up a `host.*` gauge.
     pub fn host_gauge(&self, key: &str) -> Option<u64> {
         self.host.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
-    }
-
-    /// Records worker loads into the host section the same way
-    /// [`crate::HostPerf::record_jobs`] does — convenience for callers
-    /// that assemble the host list by hand.
-    pub fn worker_loads(loads: &[WorkerLoad]) -> Vec<(String, u64)> {
-        let mut out = vec![("host.jobs.count".to_owned(), loads.len() as u64)];
-        for (i, l) in loads.iter().enumerate() {
-            out.push((format!("host.jobs.{i}.busy_ns"), l.busy_ns));
-            out.push((format!("host.jobs.{i}.items"), l.items));
-        }
-        out
     }
 }
 

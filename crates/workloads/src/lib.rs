@@ -107,31 +107,6 @@ impl fmt::Display for Benchmark {
     }
 }
 
-/// NAS-style problem-size classes, mapped to ROI scale factors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Class {
-    /// Small (quick tests): scale 0.25.
-    S,
-    /// Workstation: scale 0.5.
-    W,
-    /// The default evaluation size: scale 1.0.
-    A,
-    /// Large: scale 2.0.
-    B,
-}
-
-impl Class {
-    /// The ROI scale factor this class maps to.
-    pub fn scale(self) -> f64 {
-        match self {
-            Class::S => 0.25,
-            Class::W => 0.5,
-            Class::A => 1.0,
-            Class::B => 2.0,
-        }
-    }
-}
-
 /// Workload generation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadConfig {
@@ -166,25 +141,5 @@ impl WorkloadConfig {
     pub fn with_scale(mut self, scale: f64) -> Self {
         self.scale = scale;
         self
-    }
-
-    /// A config with the scale of a NAS-style [`Class`] (chainable).
-    pub fn with_class(mut self, class: Class) -> Self {
-        self.scale = class.scale();
-        self
-    }
-}
-
-#[cfg(test)]
-mod class_tests {
-    use super::*;
-
-    #[test]
-    fn classes_order_by_scale() {
-        assert!(Class::S.scale() < Class::W.scale());
-        assert!(Class::W.scale() < Class::A.scale());
-        assert!(Class::A.scale() < Class::B.scale());
-        let cfg = WorkloadConfig::default().with_class(Class::W);
-        assert!((cfg.scale - 0.5).abs() < 1e-12);
     }
 }

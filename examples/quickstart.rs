@@ -50,7 +50,7 @@ fn main() -> Result<(), ExperimentError> {
             r.checkpoint_bytes(),
         );
     }
-    let t_red = 100.0 * (ckpt.cycles as f64 - reckpt.cycles as f64) / ckpt.cycles as f64;
+    let t_red = reckpt.time_reduction_pct(&ckpt);
     let report = reckpt.report.as_ref().expect("reckpt reports");
     println!();
     println!(

@@ -686,8 +686,8 @@ static JOBS: Flag = Flag::knob(
 static PROGRESS: Flag = Flag::knob(
     "--progress",
     "",
-    "print one line per fault case; lines are buffered per shard and \
-     flushed in case order, so the output is also jobs-invariant",
+    "print one line per fault case, in case order once the campaign \
+     finishes, so the output is also jobs-invariant",
     |a, _| store(&mut a.progress, Ok(true)),
 );
 
@@ -2366,7 +2366,7 @@ fn run_workload(a: &RunArgs, bench: Benchmark) -> Result<(), ExperimentError> {
         print_result(&base.label, &base, Some(&no));
         println!(
             "ACR vs baseline: {:.2}% time, {:.2}% energy, {:.2}% EDP reduction",
-            100.0 * (base.cycles as f64 - main.cycles as f64) / base.cycles as f64,
+            main.time_reduction_pct(&base),
             100.0 * (base.energy.total_joules() - main.energy.total_joules())
                 / base.energy.total_joules(),
             main.edp_reduction_pct(&base),

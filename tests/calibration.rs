@@ -96,7 +96,7 @@ fn fig6_orderings_hold() {
         let no = exp.run_no_ckpt().expect("no");
         let c = exp.run_ckpt(0).expect("ckpt");
         let r = exp.run_reckpt(0).expect("reckpt");
-        let t_red = 100.0 * (c.cycles as f64 - r.cycles as f64) / c.cycles as f64;
+        let t_red = r.time_reduction_pct(&c);
         if t_red > best.1 {
             best = (b, t_red);
         }
@@ -150,7 +150,7 @@ fn edp_reductions_roughly_double_time_reductions() {
     let mut exp = experiment(Benchmark::Is, Scheme::GlobalCoordinated);
     let c = exp.run_ckpt(0).expect("ckpt");
     let r = exp.run_reckpt(0).expect("reckpt");
-    let t_red = 100.0 * (c.cycles as f64 - r.cycles as f64) / c.cycles as f64;
+    let t_red = r.time_reduction_pct(&c);
     let edp_red = r.edp_reduction_pct(&c);
     assert!(edp_red > 1.5 * t_red, "EDP {edp_red:.1} vs time {t_red:.1}");
     assert!(edp_red < 2.5 * t_red, "EDP {edp_red:.1} vs time {t_red:.1}");

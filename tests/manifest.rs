@@ -6,9 +6,7 @@
 use acr::{campaign_sweep, Experiment, ExperimentSpec};
 use acr_ckpt::CampaignConfig;
 use acr_isa::{AluOp, Program, ProgramBuilder, Reg};
-use acr_trace::{
-    diff_manifests, BenchStats, DiffOptions, Fnv1a, Manifest, MetricsRegistry, WorkerLoad,
-};
+use acr_trace::{diff_manifests, BenchStats, DiffOptions, Fnv1a, Manifest, MetricsRegistry};
 
 fn kernel(threads: usize, iters: u64) -> Program {
     let mut b = ProgramBuilder::new(threads);
@@ -63,13 +61,12 @@ fn manifest_for(jobs: usize, wall_ns: u64) -> Manifest {
         ],
         sim_hashes: hashes,
         metrics_digest: merged.digest(),
-        host: Manifest::worker_loads(&[WorkerLoad {
-            busy_ns: wall_ns / 2,
-            items: 10,
-        }])
-        .into_iter()
-        .chain([("host.wall_ns".to_owned(), wall_ns)])
-        .collect(),
+        host: vec![
+            ("host.jobs.count".to_owned(), 1),
+            ("host.jobs.0.busy_ns".to_owned(), wall_ns / 2),
+            ("host.jobs.0.items".to_owned(), 10),
+            ("host.wall_ns".to_owned(), wall_ns),
+        ],
         bench: None,
     }
 }
