@@ -442,7 +442,6 @@ impl<'p, P: OmissionPolicy> BerEngine<'p, P> {
             let stop = self.next_stop();
             let out = match self.machine.run(&mut self.hooks, stop) {
                 Ok(out) => out,
-                Err(SimError::FuelExhausted) => return Err(SimError::FuelExhausted),
                 Err(trap) => {
                     // A corrupted register or pc drove a core into an
                     // illegal access. If an injected error is pending, the

@@ -731,21 +731,28 @@ impl CampaignReport {
     }
 }
 
-/// Everything one fault case needs, shared read-only across workers.
-/// Only plain data and the `Sync` policy factory cross the thread
-/// boundary; each worker builds its own `Machine`/`BerEngine` (which are
-/// `!Send` by design — their trace sink is `Rc`-based).
-pub(crate) struct CaseCtx<'a, F> {
+/// A fault campaign over one program: the one way into a fault case.
+///
+/// [`Campaign::new`] validates the configuration once and runs the
+/// fault-free baseline (reference interpreter plus timing run) once;
+/// every fault case — a campaign's planned cases ([`Campaign::run`]), a
+/// replayed or shrunk plan ([`Campaign::replay`], [`Campaign::shrink`])
+/// — is then checked against that baseline. `policy` is a factory
+/// building one fresh omission policy per case. Only plain data and the
+/// `Sync` factory cross the thread boundary; each worker builds its own
+/// `Machine`/`BerEngine` (which are `!Send` by design — their trace sink
+/// is `Rc`-based).
+pub struct Campaign<'a, F> {
     pub(crate) program: &'a Program,
-    pub(crate) machine: MachineConfig,
-    pub(crate) cfg: &'a CampaignConfig,
+    machine: MachineConfig,
+    cfg: &'a CampaignConfig,
     /// The fault-free reference every case is compared against.
-    pub(crate) base: CampaignBaseline,
-    pub(crate) detection_latency: u64,
-    pub(crate) policy: &'a F,
+    base: CampaignBaseline,
+    detection_latency: u64,
+    policy: F,
 }
 
-impl<'a, F> CaseCtx<'a, F> {
+impl<'a, F> Campaign<'a, F> {
     /// Sets up fault cases over `program`: rejects a core-less program, a
     /// bad detection latency and recovery faults outside the global scheme
     /// before any work runs, then runs the fault-free baseline and derives
@@ -754,12 +761,13 @@ impl<'a, F> CaseCtx<'a, F> {
     /// # Errors
     ///
     /// [`CkptError::NoCores`], [`CkptError::InvalidLatency`] or
-    /// [`CkptError::Unsupported`] (wrapped), or a broken baseline.
-    pub(crate) fn new(
+    /// [`CkptError::Unsupported`] (wrapped), or a broken baseline (see
+    /// [`CampaignError`]).
+    pub fn new(
         program: &'a Program,
         machine: MachineConfig,
         cfg: &'a CampaignConfig,
-        policy: &'a F,
+        policy: F,
     ) -> Result<Self, CampaignError> {
         if program.num_threads() == 0 {
             return Err(CkptError::NoCores.into());
@@ -768,7 +776,7 @@ impl<'a, F> CaseCtx<'a, F> {
         detection_latency(0, cfg.num_checkpoints, cfg.detection_latency_frac)?;
         check_recovery_fault_scheme(cfg.scheme, cfg.recovery_faults)?;
         let base = fault_free_baseline(program, machine, cfg.interp_fuel, cfg.sample_interval)?;
-        Ok(CaseCtx {
+        Ok(Campaign {
             program,
             machine,
             cfg,
@@ -781,6 +789,107 @@ impl<'a, F> CaseCtx<'a, F> {
             policy,
         })
     }
+
+    /// Draws the configuration's seeded fault plan over the fault-free
+    /// run: the [`CampaignConfig::count`] faults a campaign spreads over
+    /// as many cases, or, taken as one case's fault list, the dense plan
+    /// the shrinker starts from.
+    ///
+    /// # Errors
+    ///
+    /// [`CkptError::NoInjectableKind`] when no requested kind can land:
+    /// memory corruption needs a non-empty written working set.
+    pub fn plan(&self) -> Result<Vec<Fault>, CkptError> {
+        let cfg = self.cfg;
+        if cfg
+            .kinds
+            .labels(!self.base.mem_targets.is_empty())
+            .is_empty()
+        {
+            return Err(CkptError::NoInjectableKind {
+                requested: cfg.kinds.labels(true).join(","),
+            });
+        }
+        Ok(FaultPlan::generate(&FaultPlanConfig {
+            seed: cfg.seed,
+            count: cfg.count,
+            kinds: cfg.kinds,
+            total_progress: self.base.total,
+            cores: self.machine.num_cores,
+            mem_targets: self.base.mem_targets.clone(),
+            storm: cfg.storm,
+        })
+        .faults)
+    }
+}
+
+impl<P, F> Campaign<'_, F>
+where
+    P: OmissionPolicy,
+    F: Fn() -> P + Sync,
+{
+    /// Runs the campaign: one fresh machine + policy per planned fault,
+    /// differentially verified against the reference interpreter. With
+    /// [`CampaignConfig::jobs`] > 1 the cases shard across worker
+    /// threads; the report is byte-identical for every jobs value (see
+    /// [`crate::parallel`]).
+    ///
+    /// Each worker's host-side load (busy wall time and cases executed,
+    /// from [`ParallelRunner::run_ordered_loads`]) is returned *next to*
+    /// the report, never inside it: a [`CampaignReport`] compares
+    /// byte-identically across jobs values while worker loads, by nature,
+    /// do not. Callers feed them to the `host.jobs.*` section of run
+    /// manifests.
+    ///
+    /// # Errors
+    ///
+    /// [`CkptError::EmptyCampaign`] or [`CkptError::NoInjectableKind`]
+    /// (wrapped); faulted cases that cannot finish are recorded as
+    /// [`CaseOutcome::Aborted`], never dropped.
+    pub fn run(self) -> Result<(CampaignReport, Vec<WorkerLoad>), CampaignError> {
+        let cfg = self.cfg;
+        if cfg.count == 0 {
+            return Err(CkptError::EmptyCampaign.into());
+        }
+        let faults = self.plan()?;
+
+        // Dynamic work handout, static (case-index-ordered) result placement:
+        // the merged report is identical for every jobs value.
+        let (results, loads) = ParallelRunner::new(cfg.jobs).run_ordered_loads(faults.len(), |i| {
+            run_fault_case(&self, i, std::slice::from_ref(&faults[i]))
+        });
+
+        // The campaign metrics and the progress log fold the finished cases
+        // in case order.
+        let mut metrics = MetricsRegistry::new();
+        let mut case_log = String::new();
+        let mut cases = Vec::with_capacity(results.len());
+        let mut postmortems = Vec::new();
+        for (rec, bundle) in results {
+            record_case_metrics(&mut metrics, &rec);
+            if cfg.progress {
+                case_log.push_str(&case_log_line(&rec));
+                case_log.push('\n');
+            }
+            postmortems.extend(bundle);
+            cases.push(rec);
+        }
+        metrics.publish_hist_digests();
+
+        Ok((
+            CampaignReport {
+                seed: cfg.seed,
+                total_progress: self.base.total,
+                num_cores: self.machine.num_cores,
+                cases,
+                baseline_series: self.base.baseline_series,
+                metrics,
+                case_log,
+                postmortems,
+            },
+            loads,
+        ))
+    }
 }
 
 /// Runs one case — one *or more* planned faults in a single engine run —
@@ -792,7 +901,7 @@ impl<'a, F> CaseCtx<'a, F> {
 /// case's flight recorder. The record's `fault` field carries the first
 /// planned fault.
 pub(crate) fn run_fault_case<P, F>(
-    ctx: &CaseCtx<'_, F>,
+    ctx: &Campaign<'_, F>,
     i: usize,
     faults: &[Fault],
 ) -> (FaultCaseRecord, Option<PostmortemBundle>)
@@ -836,7 +945,7 @@ where
         None
     };
     let mut engine =
-        BerEngine::new(m, (ctx.policy)(), ber).expect("CaseCtx::new validated the configuration");
+        BerEngine::new(m, (ctx.policy)(), ber).expect("Campaign::new validated the configuration");
     match engine.run_to_completion() {
         Ok(report) => {
             let m = engine.machine();
@@ -991,21 +1100,21 @@ fn record_case_metrics(reg: &mut MetricsRegistry, c: &FaultCaseRecord) {
     reg.record_hist("campaign.case.waste_cycles", c.waste_cycles);
 }
 
-/// Fault-free reference state shared by campaigns, the soak driver and
-/// the shrinker: interpreter run, timing run, differential cross-check,
-/// and the written working set memory corruption targets.
-pub(crate) struct CampaignBaseline {
+/// Fault-free reference state every case of a [`Campaign`] is checked
+/// against: interpreter run, timing run, differential cross-check, and
+/// the written working set memory corruption targets.
+struct CampaignBaseline {
     /// Total retired instructions (the progress axis).
-    pub(crate) total: u64,
+    total: u64,
     /// Reference final memory image (words).
-    pub(crate) reference_mem: Vec<u64>,
+    reference_mem: Vec<u64>,
     /// Reference register file (single-threaded programs only).
-    pub(crate) reference_regs: Option<Vec<u64>>,
+    reference_regs: Option<Vec<u64>>,
     /// Written working set (memory-fault targets).
-    pub(crate) mem_targets: Vec<WordAddr>,
+    mem_targets: Vec<WordAddr>,
     /// Interval-sampled metrics of the fault-free timing run (empty
     /// unless sampling was requested).
-    pub(crate) baseline_series: TimeSeries,
+    baseline_series: TimeSeries,
 }
 
 /// Runs the two fault-free reference executions (ISA interpreter and
@@ -1017,7 +1126,7 @@ pub(crate) struct CampaignBaseline {
 /// Fails if either reference run fails, if the two disagree
 /// ([`CampaignError::ReferenceMismatch`]), or if the program is too short
 /// to draw injection points from.
-pub(crate) fn fault_free_baseline(
+fn fault_free_baseline(
     program: &Program,
     machine: MachineConfig,
     interp_fuel: u64,
@@ -1078,127 +1187,6 @@ pub(crate) fn fault_free_baseline(
     })
 }
 
-/// Draws `cfg`'s seeded fault plan for `cores` cores over the fault-free
-/// run `base`.
-///
-/// # Errors
-///
-/// [`CkptError::NoInjectableKind`] when no requested kind can land:
-/// memory corruption needs a non-empty written working set.
-pub(crate) fn plan_faults(
-    cfg: &CampaignConfig,
-    base: &CampaignBaseline,
-    cores: u32,
-) -> Result<Vec<Fault>, CkptError> {
-    if cfg.kinds.labels(!base.mem_targets.is_empty()).is_empty() {
-        return Err(CkptError::NoInjectableKind {
-            requested: cfg.kinds.labels(true).join(","),
-        });
-    }
-    Ok(FaultPlan::generate(&FaultPlanConfig {
-        seed: cfg.seed,
-        count: cfg.count,
-        kinds: cfg.kinds,
-        total_progress: base.total,
-        cores,
-        mem_targets: base.mem_targets.clone(),
-        storm: cfg.storm,
-    })
-    .faults)
-}
-
-/// Runs a fault campaign over `program`: one fresh machine + policy per
-/// planned fault, differentially verified against the reference
-/// interpreter. `policy` is a factory — campaigns over ACR use it to
-/// build a fresh `AcrPolicy` per case. With [`CampaignConfig::jobs`] > 1
-/// the cases shard across worker threads; the report is byte-identical
-/// for every jobs value (see [`crate::parallel`]).
-///
-/// # Errors
-///
-/// Fails only if the *fault-free* runs fail or disagree with each other
-/// (see [`CampaignError`]); faulted cases that cannot finish are recorded
-/// as [`CaseOutcome::Aborted`], never dropped.
-pub fn run_campaign<P, F>(
-    program: &Program,
-    machine: MachineConfig,
-    cfg: &CampaignConfig,
-    policy: F,
-) -> Result<CampaignReport, CampaignError>
-where
-    P: OmissionPolicy,
-    F: Fn() -> P + Sync,
-{
-    run_campaign_loads(program, machine, cfg, policy).map(|(report, _loads)| report)
-}
-
-/// Like [`run_campaign`], but additionally returns each worker's
-/// host-side load (busy wall time and cases executed, from
-/// [`ParallelRunner::run_ordered_loads`]).
-///
-/// The loads are returned *next to* the report, never inside it: a
-/// [`CampaignReport`] compares byte-identically across jobs values while
-/// worker loads, by nature, do not. Callers feed them to the `host.jobs.*`
-/// section of run manifests.
-///
-/// # Errors
-///
-/// Identical to [`run_campaign`].
-pub fn run_campaign_loads<P, F>(
-    program: &Program,
-    machine: MachineConfig,
-    cfg: &CampaignConfig,
-    policy: F,
-) -> Result<(CampaignReport, Vec<WorkerLoad>), CampaignError>
-where
-    P: OmissionPolicy,
-    F: Fn() -> P + Sync,
-{
-    // Malformed configurations get typed errors before any work runs.
-    if cfg.count == 0 {
-        return Err(CkptError::EmptyCampaign.into());
-    }
-    let ctx = CaseCtx::new(program, machine, cfg, &policy)?;
-    let faults = plan_faults(cfg, &ctx.base, machine.num_cores)?;
-
-    // Dynamic work handout, static (case-index-ordered) result placement:
-    // the merged report is identical for every jobs value.
-    let (results, loads) = ParallelRunner::new(cfg.jobs).run_ordered_loads(faults.len(), |i| {
-        run_fault_case(&ctx, i, std::slice::from_ref(&faults[i]))
-    });
-
-    // The campaign metrics and the progress log fold the finished cases
-    // in case order.
-    let mut metrics = MetricsRegistry::new();
-    let mut case_log = String::new();
-    let mut cases = Vec::with_capacity(results.len());
-    let mut postmortems = Vec::new();
-    for (rec, bundle) in results {
-        record_case_metrics(&mut metrics, &rec);
-        if cfg.progress {
-            case_log.push_str(&case_log_line(&rec));
-            case_log.push('\n');
-        }
-        postmortems.extend(bundle);
-        cases.push(rec);
-    }
-    metrics.publish_hist_digests();
-
-    Ok((
-        CampaignReport {
-            seed: cfg.seed,
-            total_progress: ctx.base.total,
-            num_cores: machine.num_cores,
-            cases,
-            baseline_series: ctx.base.baseline_series,
-            metrics,
-            case_log,
-            postmortems,
-        },
-        loads,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1226,6 +1214,17 @@ mod tests {
         b.build()
     }
 
+    /// Runs `cfg` over `p` under the log-only policy.
+    fn run(
+        p: &Program,
+        m: MachineConfig,
+        cfg: &CampaignConfig,
+    ) -> Result<CampaignReport, CampaignError> {
+        Campaign::new(p, m, cfg, || NoOmission)?
+            .run()
+            .map(|(report, _)| report)
+    }
+
     fn campaign(count: u32, kinds: FaultKindSet, seed: u64) -> CampaignReport {
         let p = kernel(2, 60);
         let cfg = CampaignConfig {
@@ -1235,7 +1234,7 @@ mod tests {
             num_checkpoints: 5,
             ..CampaignConfig::default()
         };
-        run_campaign(&p, MachineConfig::with_cores(2), &cfg, || NoOmission).expect("campaign runs")
+        run(&p, MachineConfig::with_cores(2), &cfg).expect("campaign runs")
     }
 
     /// The split gives the remainder to the first workloads, seeds
@@ -1322,13 +1321,13 @@ mod tests {
             progress: true,
             ..CampaignConfig::default()
         };
-        let seq = run_campaign(&p, m, &base, || NoOmission).expect("campaign runs");
+        let seq = run(&p, m, &base).expect("campaign runs");
         for jobs in [2usize, 4, 8] {
             let cfg = CampaignConfig {
                 jobs,
                 ..base.clone()
             };
-            let par = run_campaign(&p, m, &cfg, || NoOmission).expect("campaign runs");
+            let par = run(&p, m, &cfg).expect("campaign runs");
             assert_eq!(seq, par, "jobs={jobs}");
             assert_eq!(seq.content_hash(), par.content_hash(), "jobs={jobs}");
             assert_eq!(seq.csv(), par.csv(), "jobs={jobs}");
@@ -1372,7 +1371,7 @@ mod tests {
             jobs: 4,
             ..CampaignConfig::default()
         };
-        let r = run_campaign(&p, m, &cfg, || NoOmission).expect("campaign runs");
+        let r = run(&p, m, &cfg).expect("campaign runs");
         let lines: Vec<&str> = r.case_log.lines().collect();
         assert_eq!(lines.len(), 10);
         for (i, line) in lines.iter().enumerate() {
@@ -1386,7 +1385,7 @@ mod tests {
             jobs: 1,
             ..cfg
         };
-        let q = run_campaign(&p, m, &quiet, || NoOmission).expect("campaign runs");
+        let q = run(&p, m, &quiet).expect("campaign runs");
         assert!(q.case_log.is_empty());
         assert_eq!(q.content_hash(), r.content_hash());
     }
@@ -1400,7 +1399,7 @@ mod tests {
             count: 0,
             ..CampaignConfig::default()
         };
-        let err = run_campaign(&p, m, &cfg, || NoOmission).unwrap_err();
+        let err = run(&p, m, &cfg).unwrap_err();
         assert!(matches!(
             err,
             CampaignError::Config(CkptError::EmptyCampaign)
@@ -1410,7 +1409,7 @@ mod tests {
             detection_latency_frac: 1.5,
             ..CampaignConfig::default()
         };
-        let err = run_campaign(&p, m, &cfg, || NoOmission).unwrap_err();
+        let err = run(&p, m, &cfg).unwrap_err();
         assert!(matches!(
             err,
             CampaignError::Config(CkptError::InvalidLatency { .. })
@@ -1421,7 +1420,7 @@ mod tests {
             scheme: Scheme::LocalCoordinated,
             ..CampaignConfig::default()
         };
-        let err = run_campaign(&p, m, &cfg, || NoOmission).unwrap_err();
+        let err = run(&p, m, &cfg).unwrap_err();
         assert!(matches!(
             err,
             CampaignError::Config(CkptError::Unsupported { .. })
@@ -1440,13 +1439,7 @@ mod tests {
         b.set_mem_bytes(1 << 12);
         let p = b.build();
         p.validate().expect("vacuously valid");
-        let err = run_campaign(
-            &p,
-            MachineConfig::with_cores(1),
-            &CampaignConfig::default(),
-            || NoOmission,
-        )
-        .unwrap_err();
+        let err = run(&p, MachineConfig::with_cores(1), &CampaignConfig::default()).unwrap_err();
         assert!(matches!(err, CampaignError::Config(CkptError::NoCores)));
         assert!(err.to_string().contains("no threads"));
     }
@@ -1476,8 +1469,12 @@ mod tests {
         let m = MachineConfig::with_cores(1);
         // Campaigns and the shrinker's dense plan name the requested kinds.
         for err in [
-            run_campaign(&p, m, &cfg, || NoOmission).unwrap_err(),
-            crate::shrink::dense_fault_plan(&p, m, &cfg).unwrap_err(),
+            run(&p, m, &cfg).unwrap_err(),
+            Campaign::new(&p, m, &cfg, || NoOmission)
+                .expect("baseline runs")
+                .plan()
+                .unwrap_err()
+                .into(),
         ] {
             match err {
                 CampaignError::Config(CkptError::NoInjectableKind { requested }) => {
@@ -1500,7 +1497,7 @@ mod tests {
             recovery_faults: true,
             ..CampaignConfig::default()
         };
-        let a = run_campaign(&p, m, &cfg, || NoOmission).expect("campaign runs");
+        let a = run(&p, m, &cfg).expect("campaign runs");
         assert!(a.has_recovery_faults());
         assert_eq!(a.recovered(), 12, "{}", a.summary());
         assert_eq!(a.totals().divergent_words, 0);
@@ -1511,7 +1508,7 @@ mod tests {
             "{}",
             a.summary()
         );
-        let b = run_campaign(&p, m, &cfg, || NoOmission).expect("campaign runs");
+        let b = run(&p, m, &cfg).expect("campaign runs");
         assert_eq!(a, b);
         assert_eq!(a.content_hash(), b.content_hash());
         assert_eq!(a.escalation_csv(), b.escalation_csv());
@@ -1521,7 +1518,7 @@ mod tests {
             recovery_faults: false,
             ..cfg.clone()
         };
-        let plain = run_campaign(&p, m, &plain_cfg, || NoOmission).expect("campaign runs");
+        let plain = run(&p, m, &plain_cfg).expect("campaign runs");
         assert!(!plain.has_recovery_faults());
         assert_ne!(a.content_hash(), plain.content_hash());
     }
@@ -1548,7 +1545,7 @@ mod tests {
             num_checkpoints: 5,
             ..CampaignConfig::default()
         };
-        let a = run_campaign(&p, m, &cfg, || NoOmission).expect("campaign runs");
+        let a = run(&p, m, &cfg).expect("campaign runs");
         assert!(a.totals().diverged > 0, "{}", a.summary());
         let t = a.totals();
         assert_eq!(a.postmortems.len() as u64, t.diverged + t.aborted);
@@ -1570,14 +1567,14 @@ mod tests {
             assert_eq!(b.rings.len(), 3, "2 core rings + global");
             assert!(b.rings.iter().any(|r| !r.events.is_empty()));
         }
-        let b = run_campaign(&p, m, &cfg, || NoOmission).expect("campaign runs");
+        let b = run(&p, m, &cfg).expect("campaign runs");
         assert_eq!(a.postmortems, b.postmortems);
         for jobs in [2usize, 4] {
             let par_cfg = CampaignConfig {
                 jobs,
                 ..cfg.clone()
             };
-            let par = run_campaign(&p, m, &par_cfg, || NoOmission).expect("campaign runs");
+            let par = run(&p, m, &par_cfg).expect("campaign runs");
             assert_eq!(a.postmortems, par.postmortems, "jobs={jobs}");
             for (x, y) in a.postmortems.iter().zip(&par.postmortems) {
                 assert_eq!(x.to_json(), y.to_json(), "jobs={jobs}");
@@ -1610,8 +1607,8 @@ mod tests {
             recorder: false,
             ..on.clone()
         };
-        let a = run_campaign(&p, m, &on, || NoOmission).expect("campaign runs");
-        let b = run_campaign(&p, m, &off, || NoOmission).expect("campaign runs");
+        let a = run(&p, m, &on).expect("campaign runs");
+        let b = run(&p, m, &off).expect("campaign runs");
         assert_eq!(a.cases, b.cases);
         assert_eq!(a.content_hash(), b.content_hash());
         assert!(a.postmortems.iter().all(|bu| !bu.rings.is_empty()));
@@ -1638,8 +1635,7 @@ mod tests {
             num_checkpoints: 5,
             ..CampaignConfig::default()
         };
-        let r = run_campaign(&p, MachineConfig::with_cores(1), &cfg, || NoOmission)
-            .expect("campaign runs");
+        let r = run(&p, MachineConfig::with_cores(1), &cfg).expect("campaign runs");
         assert_eq!(r.recovered(), 10, "{}", r.summary());
     }
 
@@ -1701,8 +1697,7 @@ mod tests {
                 storm,
                 ..CampaignConfig::default()
             };
-            run_campaign(&p, MachineConfig::with_cores(2), &cfg, || NoOmission)
-                .expect("campaign runs")
+            run(&p, MachineConfig::with_cores(2), &cfg).expect("campaign runs")
         };
         let a = mk(Some(FaultStorm::default()));
         let b = mk(Some(FaultStorm::default()));
@@ -1726,8 +1721,7 @@ mod tests {
             watchdog_budget_cycles: 1,
             ..CampaignConfig::default()
         };
-        let r = run_campaign(&p, MachineConfig::with_cores(2), &cfg, || NoOmission)
-            .expect("campaign runs");
+        let r = run(&p, MachineConfig::with_cores(2), &cfg).expect("campaign runs");
         let hangs: Vec<_> = r.cases.iter().filter(|c| c.hung).collect();
         assert!(!hangs.is_empty(), "{}", r.summary());
         for c in &hangs {

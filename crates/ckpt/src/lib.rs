@@ -52,8 +52,8 @@ pub use checkpoint::CheckpointRecord;
 pub use engine::{BerConfig, BerEngine, ResilienceConfig, Scheme, SecondaryStorage};
 pub use errors::CkptError;
 pub use inject::{
-    run_campaign, run_campaign_loads, CampaignConfig, CampaignError, CampaignReport,
-    CampaignTotals, CaseOutcome, FaultCaseRecord,
+    Campaign, CampaignConfig, CampaignError, CampaignReport, CampaignTotals, CaseOutcome,
+    FaultCaseRecord,
 };
 pub use ledger::{DecisionLedger, OmitReason, ReplayCost, NUM_REASONS, RANGE_BYTES};
 pub use monitor::{BreachRecord, InvariantSummary, MonitorCounters};
@@ -66,8 +66,8 @@ pub use recovery::MAX_REPLAY_RETRIES;
 pub use report::{BerReport, IntervalRecord, RecoveryRecord};
 pub use schedule::{detection_latency, uniform_points, ErrorSchedule, ScheduledError};
 pub use shrink::{
-    dense_fault_plan, fault_from_json, fault_to_json, replay_case, shrink_case, CaseFailure,
-    ReproDoc, ShrinkConfig, ShrinkOutcome, REPRO_SCHEMA,
+    fault_from_json, fault_to_json, CaseFailure, ReproDoc, ShrinkConfig, ShrinkOutcome,
+    REPRO_SCHEMA,
 };
 pub use soak::{
     chunk_config, chunk_seed, default_models, default_resilience, run_soak, SoakCell, SoakCombo,

@@ -24,18 +24,15 @@
 //! plan serializes to a small `acr.repro.v1` [`ReproDoc`] JSON document;
 //! [`ReproDoc::from_json`] round-trips it for replay.
 
-use acr_isa::{Program, NUM_REGS};
+use std::ops::RangeInclusive;
+
+use acr_isa::NUM_REGS;
 use acr_mem::WordAddr;
-use acr_sim::{Fault, FaultKind, FaultKindSet, MachineConfig, BURST_MAX_SPAN, PC_FAULT_BITS};
-use acr_trace::{
-    read_document, render_json, Coder, Field, JsonError, JsonResult, MetricsRegistry, INLINE,
-};
+use acr_sim::{Fault, FaultKind, FaultKindSet, BURST_MAX_SPAN, PC_FAULT_BITS};
+use acr_trace::{read_document, render_json, Coder, Field, JsonError, JsonResult, INLINE};
 
 use crate::errors::CkptError;
-use crate::inject::{
-    fault_free_baseline, plan_faults, run_fault_case, CampaignConfig, CampaignError, CaseCtx,
-    FaultCaseRecord,
-};
+use crate::inject::{run_fault_case, Campaign, CampaignConfig, FaultCaseRecord};
 use crate::parallel::ParallelRunner;
 use crate::policy::OmissionPolicy;
 use crate::postmortem::{PostmortemBundle, TRIGGERS};
@@ -47,6 +44,14 @@ pub const REPRO_SCHEMA: &str = "acr.repro.v1";
 /// Word alignment of the memory image (mirrors `acr-mem`'s layout; the
 /// narrowing stage must keep halved addresses aligned).
 const WORD_BYTES: u64 = 8;
+
+// The field ranges a fault may take: what the simulator injects, what a
+// repro document may hold (`code_fault`) and what a caller's fault list
+// must keep to (`check_faults`).
+const REGS: RangeInclusive<u8> = 0..=NUM_REGS as u8 - 1;
+const BITS: RangeInclusive<u8> = 0..=63;
+const PC_BITS: RangeInclusive<u8> = 0..=PC_FAULT_BITS - 1;
+const SPANS: RangeInclusive<u8> = 2..=BURST_MAX_SPAN;
 
 /// Shrinker knobs.
 #[derive(Debug, Clone)]
@@ -97,8 +102,6 @@ pub struct ShrinkOutcome {
     pub evaluations: u64,
     /// Narrowing steps that were kept.
     pub narrowed_fields: u64,
-    /// `shrink.*` counters mirroring the fields above.
-    pub metrics: MetricsRegistry,
 }
 
 impl ShrinkOutcome {
@@ -106,75 +109,6 @@ impl ShrinkOutcome {
     pub fn dropped_faults(&self) -> usize {
         self.original_faults - self.minimal.len()
     }
-}
-
-/// Plans a dense multi-fault case: the seeded [`acr_sim::FaultPlan`] a campaign
-/// would spread over `cfg.count` independent cases, taken as *one* case's
-/// fault list. This is how the CLI builds a forced-divergence case worth
-/// shrinking.
-///
-/// # Errors
-///
-/// Fails like a campaign would: broken fault-free runs, or no injectable
-/// kind (memory corruption with an empty written working set).
-pub fn dense_fault_plan(
-    program: &Program,
-    machine: MachineConfig,
-    cfg: &CampaignConfig,
-) -> Result<Vec<Fault>, CampaignError> {
-    let base = fault_free_baseline(program, machine, cfg.interp_fuel, 0)?;
-    Ok(plan_faults(cfg, &base, machine.num_cores)?)
-}
-
-/// Replays one fault plan exactly once and reports whether — and how —
-/// it fails. `Ok(None)` means the plan no longer fails: the repro is
-/// stale (e.g. the engine changed underneath it). This is the engine
-/// behind `acr_cli shrink --replay`.
-///
-/// # Errors
-///
-/// [`CampaignError`] on an empty plan, an out-of-range detection
-/// latency, or a broken fault-free baseline.
-pub fn replay_case<P, F>(
-    program: &Program,
-    machine: MachineConfig,
-    cfg: &CampaignConfig,
-    case_index: usize,
-    faults: &[Fault],
-    policy: F,
-) -> Result<Option<CaseFailure>, CampaignError>
-where
-    P: OmissionPolicy,
-    F: Fn() -> P + Sync,
-{
-    if faults.is_empty() {
-        return Err(CkptError::EmptyCampaign.into());
-    }
-    for f in faults {
-        if let FaultKind::MemBitFlip { addr, .. }
-        | FaultKind::MemBurst { addr, .. }
-        | FaultKind::StuckAt { addr, .. } = f.kind
-        {
-            if addr.byte() >= program.mem_bytes() {
-                let what = format!(
-                    "fault address {:#x} lies outside the {}-byte memory image",
-                    addr.byte(),
-                    program.mem_bytes()
-                );
-                return Err(CkptError::Unsupported { what }.into());
-            }
-        }
-    }
-    let ctx = CaseCtx::new(program, machine, cfg, &policy)?;
-    let (record, bundle) = run_fault_case(&ctx, case_index, faults);
-    Ok(bundle.map(|bundle| {
-        let trigger = bundle.trigger;
-        CaseFailure {
-            trigger,
-            record,
-            bundle,
-        }
-    }))
 }
 
 /// One halving step of a narrowing dimension, or `None` once the
@@ -298,143 +232,201 @@ fn narrowing_steps(f: Fault) -> Vec<Fault> {
     steps
 }
 
-/// Shrinks one failing case to a minimal reproducer with the same
-/// postmortem trigger. `faults` is the case's full fault plan (e.g. from
-/// [`dense_fault_plan`]); `case_index` seeds per-case machinery (nested
-/// recovery faults) exactly as the campaign did, so the shrunk plan
-/// replays in the identical engine configuration.
+/// Checks a caller's fault list against the ranges a repro document may
+/// hold ([`code_fault`]) and the `mem_bytes`-byte memory image, so no
+/// fault reaches the simulator out of range.
 ///
 /// # Errors
 ///
-/// * [`CampaignError`] if the fault-free baseline fails;
-/// * [`CkptError::Unsupported`] (wrapped) if the original plan does
-///   *not* fail — there is nothing to shrink.
-pub fn shrink_case<P, F>(
-    program: &Program,
-    machine: MachineConfig,
-    cfg: &CampaignConfig,
-    case_index: usize,
-    faults: &[Fault],
-    shrink_cfg: &ShrinkConfig,
-    policy: F,
-) -> Result<ShrinkOutcome, CampaignError>
+/// [`CkptError::EmptyCampaign`] on an empty list, and
+/// [`CkptError::Unsupported`] naming the first fault and field out of
+/// range.
+fn check_faults(faults: &[Fault], mem_bytes: u64) -> Result<(), CkptError> {
+    if faults.is_empty() {
+        return Err(CkptError::EmptyCampaign);
+    }
+    for (i, f) in faults.iter().enumerate() {
+        let (fields, addr) = match f.kind {
+            FaultKind::RegBitFlip { reg, bit } => {
+                (vec![("reg", reg, REGS), ("bit", bit, BITS)], None)
+            }
+            FaultKind::PcBitFlip { bit } => (vec![("bit", bit, PC_BITS)], None),
+            FaultKind::MemBitFlip { addr, bit } | FaultKind::StuckAt { addr, bit, .. } => {
+                (vec![("bit", bit, BITS)], Some(addr.byte()))
+            }
+            FaultKind::MemBurst { addr, bit, span } => (
+                vec![("bit", bit, BITS), ("span", span, SPANS)],
+                Some(addr.byte()),
+            ),
+            FaultKind::Crash => (vec![], None),
+        };
+        let field = fields
+            .into_iter()
+            .find(|(_, v, range)| !range.contains(v))
+            .map(|(name, v, range)| {
+                let (lo, hi) = range.into_inner();
+                format!("faults[{i}].{name}: {v} outside {lo}..={hi}")
+            });
+        // `WordAddr` is word-aligned by construction; only the image
+        // bound is left to check.
+        let addr = addr.filter(|&b| b >= mem_bytes).map(|b| {
+            format!("fault address {b:#x} lies outside the {mem_bytes}-byte memory image")
+        });
+        if let Some(what) = field.or(addr) {
+            return Err(CkptError::Unsupported { what });
+        }
+    }
+    Ok(())
+}
+
+impl<P, F> Campaign<'_, F>
 where
     P: OmissionPolicy,
     F: Fn() -> P + Sync,
 {
-    if faults.is_empty() {
-        return Err(CkptError::EmptyCampaign.into());
-    }
-    let ctx = CaseCtx::new(program, machine, cfg, &policy)?;
-
-    // The failure signature the whole search must preserve.
-    let (record, bundle) = run_fault_case(&ctx, case_index, faults);
-    let mut evaluations = 1u64;
-    let Some(bundle) = bundle else {
-        return Err(CkptError::Unsupported {
-            what: format!(
-                "shrink: case {case_index} does not fail (outcome {}) — nothing to shrink",
-                record.outcome.label()
-            ),
-        }
-        .into());
-    };
-    let trigger = bundle.trigger;
-    let fails = |plan: &[Fault]| -> bool {
-        let (_, b) = run_fault_case(&ctx, case_index, plan);
-        b.is_some_and(|b| b.trigger == trigger)
-    };
-
-    // Stage 1: ddmin over the fault list. Every candidate of a round is
-    // evaluated and the lowest-index failing one adopted — more engine
-    // runs than first-hit-wins, but jobs-invariant by construction.
-    let runner = ParallelRunner::new(shrink_cfg.jobs);
-    let mut plan: Vec<Fault> = faults.to_vec();
-    let mut chunks = 2usize;
-    let mut rounds = 0u64;
-    while plan.len() >= 2 && evaluations < shrink_cfg.max_evaluations {
-        rounds += 1;
-        let n = chunks.min(plan.len());
-        let candidates: Vec<Vec<Fault>> = (0..n)
-            .map(|c| {
-                let start = c * plan.len() / n;
-                let end = (c + 1) * plan.len() / n;
-                let mut cand = Vec::with_capacity(plan.len() - (end - start));
-                cand.extend_from_slice(&plan[..start]);
-                cand.extend_from_slice(&plan[end..]);
-                cand
-            })
-            .filter(|cand| !cand.is_empty())
-            .collect();
-        evaluations += candidates.len() as u64;
-        let verdicts = runner.run_ordered(candidates.len(), |i| fails(&candidates[i]));
-        if let Some(winner) = verdicts.iter().position(|&v| v) {
-            plan = candidates[winner].clone();
-            chunks = 2.max(n - 1);
-        } else if n < plan.len() {
-            chunks = (n * 2).min(plan.len());
-        } else {
-            break;
-        }
+    /// Replays one fault plan exactly once and reports whether — and how
+    /// — it fails. `Ok(None)` means the plan no longer fails: the repro
+    /// is stale (e.g. the engine changed underneath it). `case_index`
+    /// seeds per-case machinery (nested recovery faults) exactly as the
+    /// campaign did. This is the engine behind `acr_cli shrink --replay`.
+    ///
+    /// # Errors
+    ///
+    /// [`CkptError::EmptyCampaign`] or [`CkptError::Unsupported`] on a
+    /// fault list that is empty or out of range.
+    pub fn replay(
+        &self,
+        case_index: usize,
+        faults: &[Fault],
+    ) -> Result<Option<CaseFailure>, CkptError> {
+        check_faults(faults, self.program.mem_bytes())?;
+        let (record, bundle) = run_fault_case(self, case_index, faults);
+        Ok(bundle.map(|bundle| CaseFailure {
+            trigger: bundle.trigger,
+            record,
+            bundle,
+        }))
     }
 
-    // Stage 2: greedy per-fault field narrowing, sequential and in fault
-    // order (deterministic for every jobs value by construction).
-    let mut narrowed_fields = 0u64;
-    let mut idx = 0;
-    'narrow: while idx < plan.len() {
-        loop {
-            let steps = narrowing_steps(plan[idx]);
-            let mut advanced = false;
-            for step in steps {
-                if evaluations >= shrink_cfg.max_evaluations {
-                    break 'narrow;
-                }
-                let mut cand = plan.clone();
-                cand[idx] = step;
-                evaluations += 1;
-                if fails(&cand) {
-                    plan = cand;
-                    narrowed_fields += 1;
-                    advanced = true;
-                    break;
-                }
-            }
-            if !advanced {
+    /// Shrinks one failing case to a minimal reproducer with the same
+    /// postmortem trigger. `faults` is the case's full fault plan (e.g.
+    /// from [`Campaign::plan`]); `case_index` seeds per-case machinery
+    /// exactly as [`Campaign::replay`] does, so the shrunk plan replays
+    /// in the identical engine configuration.
+    ///
+    /// # Errors
+    ///
+    /// * [`CkptError::EmptyCampaign`] or [`CkptError::Unsupported`] on a
+    ///   fault list that is empty or out of range;
+    /// * [`CkptError::Unsupported`] if the original plan does *not* fail
+    ///   — there is nothing to shrink.
+    pub fn shrink(
+        &self,
+        case_index: usize,
+        faults: &[Fault],
+        shrink_cfg: &ShrinkConfig,
+    ) -> Result<ShrinkOutcome, CkptError> {
+        check_faults(faults, self.program.mem_bytes())?;
+
+        // The failure signature the whole search must preserve.
+        let (record, bundle) = run_fault_case(self, case_index, faults);
+        let mut evaluations = 1u64;
+        let Some(bundle) = bundle else {
+            return Err(CkptError::Unsupported {
+                what: format!(
+                    "shrink: case {case_index} does not fail (outcome {}) — nothing to shrink",
+                    record.outcome.label()
+                ),
+            });
+        };
+        let trigger = bundle.trigger;
+        let fails = |plan: &[Fault]| -> bool {
+            let (_, b) = run_fault_case(self, case_index, plan);
+            b.is_some_and(|b| b.trigger == trigger)
+        };
+
+        // Stage 1: ddmin over the fault list. Every candidate of a round is
+        // evaluated and the lowest-index failing one adopted — more engine
+        // runs than first-hit-wins, but jobs-invariant by construction.
+        let runner = ParallelRunner::new(shrink_cfg.jobs);
+        let mut plan: Vec<Fault> = faults.to_vec();
+        let mut chunks = 2usize;
+        let mut rounds = 0u64;
+        while plan.len() >= 2 && evaluations < shrink_cfg.max_evaluations {
+            rounds += 1;
+            let n = chunks.min(plan.len());
+            let candidates: Vec<Vec<Fault>> = (0..n)
+                .map(|c| {
+                    let start = c * plan.len() / n;
+                    let end = (c + 1) * plan.len() / n;
+                    let mut cand = Vec::with_capacity(plan.len() - (end - start));
+                    cand.extend_from_slice(&plan[..start]);
+                    cand.extend_from_slice(&plan[end..]);
+                    cand
+                })
+                .filter(|cand| !cand.is_empty())
+                .collect();
+            evaluations += candidates.len() as u64;
+            let verdicts = runner.run_ordered(candidates.len(), |i| fails(&candidates[i]));
+            if let Some(winner) = verdicts.iter().position(|&v| v) {
+                plan = candidates[winner].clone();
+                chunks = 2.max(n - 1);
+            } else if n < plan.len() {
+                chunks = (n * 2).min(plan.len());
+            } else {
                 break;
             }
         }
-        idx += 1;
+
+        // Stage 2: greedy per-fault field narrowing, sequential and in fault
+        // order (deterministic for every jobs value by construction).
+        let mut narrowed_fields = 0u64;
+        let mut idx = 0;
+        'narrow: while idx < plan.len() {
+            loop {
+                let steps = narrowing_steps(plan[idx]);
+                let mut advanced = false;
+                for step in steps {
+                    if evaluations >= shrink_cfg.max_evaluations {
+                        break 'narrow;
+                    }
+                    let mut cand = plan.clone();
+                    cand[idx] = step;
+                    evaluations += 1;
+                    if fails(&cand) {
+                        plan = cand;
+                        narrowed_fields += 1;
+                        advanced = true;
+                        break;
+                    }
+                }
+                if !advanced {
+                    break;
+                }
+            }
+            idx += 1;
+        }
+
+        // Final definitive run of the minimal plan: its record and bundle
+        // are what the repro ships.
+        let (record, bundle) = run_fault_case(self, case_index, &plan);
+        evaluations += 1;
+        let bundle = bundle.expect("minimal plan was verified to fail");
+        debug_assert_eq!(bundle.trigger, trigger);
+
+        Ok(ShrinkOutcome {
+            original_faults: faults.len(),
+            minimal: plan,
+            failure: CaseFailure {
+                trigger,
+                record,
+                bundle,
+            },
+            rounds,
+            evaluations,
+            narrowed_fields,
+        })
     }
-
-    // Final definitive run of the minimal plan: its record and bundle are
-    // what the repro ships.
-    let (record, bundle) = run_fault_case(&ctx, case_index, &plan);
-    evaluations += 1;
-    let bundle = bundle.expect("minimal plan was verified to fail");
-    debug_assert_eq!(bundle.trigger, trigger);
-
-    let mut metrics = MetricsRegistry::new();
-    metrics.set("shrink.original_faults", faults.len() as u64);
-    metrics.set("shrink.minimal_faults", plan.len() as u64);
-    metrics.set("shrink.dropped_faults", (faults.len() - plan.len()) as u64);
-    metrics.set("shrink.rounds", rounds);
-    metrics.set("shrink.evaluations", evaluations);
-    metrics.set("shrink.narrowed_fields", narrowed_fields);
-
-    Ok(ShrinkOutcome {
-        original_faults: faults.len(),
-        minimal: plan,
-        failure: CaseFailure {
-            trigger,
-            record,
-            bundle,
-        },
-        rounds,
-        evaluations,
-        narrowed_fields,
-        metrics,
-    })
 }
 
 /// A fault's fields, in document order (see [`Coder`]): the kind label,
@@ -471,18 +463,18 @@ fn code_fault(c: &mut Coder<'_, '_>, f: &mut Fault, cores: u32) -> JsonResult {
     };
     match &mut f.kind {
         FaultKind::RegBitFlip { reg, bit } => {
-            c.within("reg", reg, 0..=NUM_REGS as u8 - 1)?;
-            c.within("bit", bit, 0..=63)
+            c.within("reg", reg, REGS)?;
+            c.within("bit", bit, BITS)
         }
-        FaultKind::PcBitFlip { bit } => c.within("bit", bit, 0..=PC_FAULT_BITS - 1),
+        FaultKind::PcBitFlip { bit } => c.within("bit", bit, PC_BITS),
         FaultKind::MemBitFlip { addr: a, bit } => {
             addr(c, a)?;
-            c.within("bit", bit, 0..=63)
+            c.within("bit", bit, BITS)
         }
         FaultKind::MemBurst { addr: a, bit, span } => {
             addr(c, a)?;
-            c.within("bit", bit, 0..=63)?;
-            c.within("span", span, 2..=BURST_MAX_SPAN)
+            c.within("bit", bit, BITS)?;
+            c.within("span", span, SPANS)
         }
         FaultKind::StuckAt {
             addr: a,
@@ -490,7 +482,7 @@ fn code_fault(c: &mut Coder<'_, '_>, f: &mut Fault, cores: u32) -> JsonResult {
             stuck_one,
         } => {
             addr(c, a)?;
-            c.within("bit", bit, 0..=63)?;
+            c.within("bit", bit, BITS)?;
             c.bool("stuck_one", stuck_one)
         }
         FaultKind::Crash => Ok(()),
@@ -619,9 +611,9 @@ impl ReproDoc {
 mod tests {
     use super::*;
     use crate::policy::NoOmission;
-    use acr_isa::{AluOp, ProgramBuilder, Reg};
+    use acr_isa::{AluOp, Program, ProgramBuilder, Reg};
     use acr_mem::CoreId;
-    use acr_sim::FaultKindSet;
+    use acr_sim::{FaultKindSet, MachineConfig};
     use acr_trace::parse_json;
 
     fn kernel() -> Program {
@@ -653,6 +645,15 @@ mod tests {
         }
     }
 
+    /// The campaign every test shrinks on: the kernel on two cores under
+    /// the log-only policy.
+    fn campaign<'a>(
+        p: &'a Program,
+        cfg: &'a CampaignConfig,
+    ) -> Campaign<'a, impl Fn() -> NoOmission + Sync> {
+        Campaign::new(p, MachineConfig::with_cores(2), cfg, || NoOmission).expect("baseline runs")
+    }
+
     /// A deterministic forced-divergence plan: the first seed whose dense
     /// mem-fault plan fails at all.
     fn failing_setup() -> (Program, CampaignConfig, Vec<Fault>) {
@@ -666,19 +667,10 @@ mod tests {
                 jobs: 1,
                 ..CampaignConfig::default()
             };
-            let faults =
-                dense_fault_plan(&p, MachineConfig::with_cores(2), &cfg).expect("plan generates");
+            let c = campaign(&p, &cfg);
+            let faults = c.plan().expect("plan generates");
             assert!(faults.len() >= 8, "want a dense plan, got {}", faults.len());
-            let outcome = shrink_case(
-                &p,
-                MachineConfig::with_cores(2),
-                &cfg,
-                0,
-                &faults,
-                &ShrinkConfig::default(),
-                || NoOmission,
-            );
-            if outcome.is_ok() {
+            if c.shrink(0, &faults, &ShrinkConfig::default()).is_ok() {
                 return (p, cfg, faults);
             }
         }
@@ -688,16 +680,10 @@ mod tests {
     #[test]
     fn shrink_finds_a_smaller_plan_with_the_same_trigger() {
         let (p, cfg, faults) = failing_setup();
-        let out = shrink_case(
-            &p,
-            MachineConfig::with_cores(2),
-            &cfg,
-            0,
-            &faults,
-            &ShrinkConfig::default(),
-            || NoOmission,
-        )
-        .expect("case fails, so it shrinks");
+        let c = campaign(&p, &cfg);
+        let out = c
+            .shrink(0, &faults, &ShrinkConfig::default())
+            .expect("case fails, so it shrinks");
         assert!(out.minimal.len() <= faults.len());
         assert!(
             out.minimal.len() * 2 <= faults.len(),
@@ -708,46 +694,30 @@ mod tests {
         assert_eq!(out.original_faults, faults.len());
         assert_eq!(out.failure.bundle.trigger, out.failure.trigger);
         assert!(out.evaluations >= 2);
-        assert_eq!(
-            out.metrics.get("shrink.minimal_faults"),
-            Some(out.minimal.len() as u64)
-        );
 
         // The minimal plan must still fail with the identical signature
         // when replayed from scratch (what `acr_cli shrink --replay` does).
-        let replay = shrink_case(
-            &p,
-            MachineConfig::with_cores(2),
-            &cfg,
-            0,
-            &out.minimal,
-            &ShrinkConfig {
-                max_evaluations: 1,
-                ..ShrinkConfig::default()
-            },
-            || NoOmission,
-        )
-        .expect("minimal plan still fails");
-        assert_eq!(replay.failure.trigger, out.failure.trigger);
+        let replay = c
+            .replay(0, &out.minimal)
+            .expect("replay runs")
+            .expect("minimal plan still fails");
+        assert_eq!(replay.trigger, out.failure.trigger);
     }
 
     #[test]
     fn shrinking_is_jobs_invariant() {
         let (p, cfg, faults) = failing_setup();
+        let c = campaign(&p, &cfg);
         let runs: Vec<ShrinkOutcome> = [1usize, 4]
             .iter()
             .map(|&jobs| {
-                shrink_case(
-                    &p,
-                    MachineConfig::with_cores(2),
-                    &cfg,
+                c.shrink(
                     0,
                     &faults,
                     &ShrinkConfig {
                         jobs,
                         ..ShrinkConfig::default()
                     },
-                    || NoOmission,
                 )
                 .expect("shrinks")
             })
@@ -771,18 +741,61 @@ mod tests {
             jobs: 1,
             ..CampaignConfig::default()
         };
-        let faults = dense_fault_plan(&p, MachineConfig::with_cores(2), &cfg).expect("plan");
-        let err = shrink_case(
-            &p,
-            MachineConfig::with_cores(2),
-            &cfg,
-            0,
-            &faults,
-            &ShrinkConfig::default(),
-            || NoOmission,
-        )
-        .unwrap_err();
+        let c = campaign(&p, &cfg);
+        let faults = c.plan().expect("plan");
+        let err = c.shrink(0, &faults, &ShrinkConfig::default()).unwrap_err();
         assert!(err.to_string().contains("does not fail"), "{err}");
+    }
+
+    /// Replays and shrinks one caller-supplied fault; both must reject it
+    /// with `want` before it reaches the simulator.
+    fn assert_rejected(kind: FaultKind, want: &str) {
+        let p = kernel();
+        let cfg = CampaignConfig::default();
+        let c = campaign(&p, &cfg);
+        let faults = [Fault {
+            at_progress: 10,
+            core: CoreId(0),
+            kind,
+        }];
+        let shrink = ShrinkConfig {
+            max_evaluations: 4,
+            ..ShrinkConfig::default()
+        };
+        let errors = [
+            c.replay(0, &faults).unwrap_err(),
+            c.shrink(0, &faults, &shrink).unwrap_err(),
+        ];
+        for err in errors {
+            assert_eq!(err.to_string(), format!("unsupported: {want}"));
+        }
+    }
+
+    #[test]
+    fn fault_address_past_the_image_is_rejected() {
+        assert_rejected(
+            FaultKind::MemBitFlip {
+                addr: WordAddr::new(1 << 40),
+                bit: 0,
+            },
+            "fault address 0x10000000000 lies outside the 262144-byte memory image",
+        );
+    }
+
+    #[test]
+    fn register_bit_past_the_word_is_rejected() {
+        assert_rejected(
+            FaultKind::RegBitFlip { reg: 3, bit: 70 },
+            "faults[0].bit: 70 outside 0..=63",
+        );
+    }
+
+    #[test]
+    fn pc_bit_past_the_window_is_rejected() {
+        assert_rejected(
+            FaultKind::PcBitFlip { bit: 40 },
+            "faults[0].bit: 40 outside 0..=3",
+        );
     }
 
     #[test]

@@ -527,7 +527,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inject::run_campaign;
+    use crate::inject::Campaign;
     use crate::policy::NoOmission;
     use acr_isa::{AluOp, Program, ProgramBuilder, Reg};
     use acr_sim::MachineConfig;
@@ -573,7 +573,10 @@ mod tests {
             &g,
             &base(),
             cursor,
-            |_, cfg| run_campaign(&p, MachineConfig::with_cores(2), cfg, || NoOmission),
+            |_, cfg| {
+                let c = Campaign::new(&p, MachineConfig::with_cores(2), cfg, || NoOmission)?;
+                c.run().map(|(report, _)| report)
+            },
             |c| c.chunks_done < stop_at,
         )
         .expect("soak runs")

@@ -4,10 +4,9 @@ use std::fmt;
 use std::sync::Arc;
 
 use acr_ckpt::{
-    dense_fault_plan, detection_latency, replay_case, run_campaign_loads, shrink_case, BerConfig,
-    BerEngine, BerReport, CampaignConfig, CampaignError, CampaignReport, CaseFailure, CkptError,
-    DecisionLedger, ErrorSchedule, NoOmission, ResilienceConfig, Scheme, SecondaryStorage,
-    ShrinkConfig, ShrinkOutcome,
+    detection_latency, BerConfig, BerEngine, BerReport, Campaign, CampaignConfig, CampaignError,
+    CampaignReport, CaseFailure, CkptError, DecisionLedger, ErrorSchedule, NoOmission,
+    ResilienceConfig, Scheme, SecondaryStorage, ShrinkConfig, ShrinkOutcome,
 };
 use acr_energy::{edp, EnergyBreakdown, EnergyInputs, EnergyModel};
 use acr_isa::{Program, ProgramError, Slice};
@@ -594,13 +593,11 @@ impl Experiment {
         let machine = self.spec.machine;
         let (label, (report, host_loads)) = if amnesic {
             let (program, policy) = self.campaign_policy(cfg);
-            let report = run_campaign_loads(&program, machine, cfg, policy)?;
-            ("Inject_ReCkpt", report)
+            let run = Campaign::new(&program, machine, cfg, policy)?.run()?;
+            ("Inject_ReCkpt", run)
         } else {
-            (
-                "Inject_Ckpt",
-                run_campaign_loads(&self.raw, machine, cfg, || NoOmission)?,
-            )
+            let run = Campaign::new(&self.raw, machine, cfg, || NoOmission)?.run()?;
+            ("Inject_Ckpt", run)
         };
         // Energy attributable to recovery alone: log reads, restore
         // writes, Slice recomputation, plus static energy over the stall
@@ -646,67 +643,37 @@ impl Experiment {
         (program, policy)
     }
 
-    /// Plans one *dense* multi-fault case over this workload: the seeded
-    /// plan a campaign would spread over `cfg.count` cases, taken as a
-    /// single case's fault list. The program the plan targets matches
-    /// the policy selection of [`Experiment::run_fault_campaign`] —
-    /// the instrumented program when `amnesic`, the raw one otherwise —
-    /// so the plan is directly consumable by
-    /// [`Experiment::shrink_fault_case`].
-    ///
-    /// # Errors
-    ///
-    /// Fails like a campaign would: broken fault-free baseline, or no
-    /// injectable fault kind for the requested set.
-    pub fn plan_dense_faults(
-        &mut self,
-        cfg: &CampaignConfig,
-        amnesic: bool,
-    ) -> Result<Vec<Fault>, ExperimentError> {
-        let machine = self.spec.machine;
-        if amnesic {
-            let (program, _) = self.instrumented_shared();
-            Ok(dense_fault_plan(&program, machine, cfg)?)
-        } else {
-            Ok(dense_fault_plan(&self.raw, machine, cfg)?)
-        }
-    }
-
-    /// Shrinks one failing fault case of this workload to a minimal
+    /// Shrinks this workload's *dense* fault case to a minimal
     /// reproducer with the same postmortem trigger (delta debugging; see
-    /// `acr_ckpt::shrink_case`). Policy selection mirrors
-    /// [`Experiment::run_fault_campaign`]: a fresh [`AcrPolicy`] per
-    /// evaluation when `amnesic`, [`NoOmission`] otherwise.
+    /// [`Campaign::shrink`]). The dense case is the seeded plan a campaign
+    /// would spread over `cfg.count` cases, taken as case `case_index`'s
+    /// single fault list ([`Campaign::plan`]); it is planned on the same
+    /// fault-free baseline the shrinker checks against. Policy selection
+    /// mirrors [`Experiment::run_fault_campaign`]: a fresh [`AcrPolicy`]
+    /// per evaluation when `amnesic`, [`NoOmission`] otherwise.
     ///
     /// # Errors
     ///
-    /// Fails when the baseline breaks or when the original plan does not
-    /// fail at all (nothing to shrink).
+    /// Fails like a campaign would (broken baseline, no injectable fault
+    /// kind), and when the dense plan is empty or does not fail at all
+    /// (nothing to shrink).
     pub fn shrink_fault_case(
         &mut self,
         cfg: &CampaignConfig,
         amnesic: bool,
         case_index: usize,
-        faults: &[Fault],
         shrink_cfg: &ShrinkConfig,
     ) -> Result<ShrinkOutcome, ExperimentError> {
         let machine = self.spec.machine;
-        if amnesic {
+        let outcome = if amnesic {
             let (program, policy) = self.campaign_policy(cfg);
-            Ok(shrink_case(
-                &program, machine, cfg, case_index, faults, shrink_cfg, policy,
-            )?)
+            let c = Campaign::new(&program, machine, cfg, policy)?;
+            c.shrink(case_index, &c.plan()?, shrink_cfg)
         } else {
-            Ok(shrink_case(
-                &self.raw,
-                machine,
-                cfg,
-                case_index,
-                faults,
-                shrink_cfg,
-                || NoOmission,
-            )?)
-        }
+            let c = Campaign::new(&self.raw, machine, cfg, || NoOmission)?;
+            c.shrink(case_index, &c.plan()?, shrink_cfg)
+        };
+        Ok(outcome?)
     }
 
     /// Replays one fault plan exactly once under the campaign policy
@@ -716,8 +683,9 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Fails on an empty plan, an out-of-range latency, or a broken
-    /// fault-free baseline.
+    /// Fails on a broken fault-free baseline, an out-of-range latency, or
+    /// a fault list that is empty or out of range (see
+    /// [`Campaign::replay`]).
     pub fn replay_fault_case(
         &mut self,
         cfg: &CampaignConfig,
@@ -726,21 +694,13 @@ impl Experiment {
         faults: &[Fault],
     ) -> Result<Option<CaseFailure>, ExperimentError> {
         let machine = self.spec.machine;
-        if amnesic {
+        let failure = if amnesic {
             let (program, policy) = self.campaign_policy(cfg);
-            Ok(replay_case(
-                &program, machine, cfg, case_index, faults, policy,
-            )?)
+            Campaign::new(&program, machine, cfg, policy)?.replay(case_index, faults)
         } else {
-            Ok(replay_case(
-                &self.raw,
-                machine,
-                cfg,
-                case_index,
-                faults,
-                || NoOmission,
-            )?)
-        }
+            Campaign::new(&self.raw, machine, cfg, || NoOmission)?.replay(case_index, faults)
+        };
+        Ok(failure?)
     }
 
     #[allow(clippy::too_many_arguments)]

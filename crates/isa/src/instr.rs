@@ -305,17 +305,6 @@ pub enum Instr {
 }
 
 impl Instr {
-    /// Returns `true` for arithmetic/logic register-to-register work
-    /// (`Imm`, `Alu`, `AluI`) — the only instruction kinds a Slice may
-    /// contain per Section II-B of the paper.
-    #[inline]
-    pub fn is_arith(&self) -> bool {
-        matches!(
-            self,
-            Instr::Imm { .. } | Instr::Alu { .. } | Instr::AluI { .. }
-        )
-    }
-
     /// The destination register written by this instruction, if any.
     #[inline]
     pub fn def(&self) -> Option<Reg> {
@@ -413,7 +402,6 @@ mod tests {
             base: Reg(0),
             disp: 8,
         };
-        assert!(!st.is_arith());
         assert_eq!(st.def(), None);
         assert_eq!(st.uses(), vec![Reg(1), Reg(0)]);
 
@@ -423,7 +411,6 @@ mod tests {
             ra: Reg(1),
             rb: Reg(2),
         };
-        assert!(alu.is_arith());
         assert_eq!(alu.def(), Some(Reg(3)));
     }
 

@@ -29,7 +29,9 @@ pub struct MemStats {
     /// Words written to memory while restoring old values / recomputed
     /// values during recovery.
     pub recovery_word_writes: u64,
-    /// Next-line prefetches issued into L2.
+    /// Next-line prefetches issued into L2: always 0, since no prefetcher
+    /// is modelled. Kept so `mem.prefetches` and report renderings keep
+    /// their shape.
     pub prefetches: u64,
 }
 
@@ -68,7 +70,7 @@ impl MemStats {
     /// * `mem.log.record_writes` / `mem.log.record_reads` — checkpoint log
     ///   records (16-byte records);
     /// * `mem.recovery.word_writes` — words rewritten during recovery;
-    /// * `mem.prefetches` — next-line prefetches issued.
+    /// * `mem.prefetches` — next-line prefetches issued (always 0).
     pub fn metrics(&self, reg: &mut acr_trace::MetricsRegistry) {
         reg.set("mem.l1d.hits", self.l1d_hits);
         reg.set("mem.l1d.misses", self.l1d_misses);

@@ -42,11 +42,6 @@ pub struct MemConfig {
     pub inv_latency: u64,
     /// Latency of a cache-to-cache transfer from a remote cache.
     pub c2c_latency: u64,
-    /// Next-line prefetching into L2 on demand misses (off by default —
-    /// Table I does not specify a prefetcher; the `No_Ckpt`/`Ckpt`
-    /// comparison is unaffected either way since both run the same
-    /// hierarchy).
-    pub prefetch_next_line: bool,
 }
 
 impl Default for MemConfig {
@@ -72,7 +67,6 @@ impl Default for MemConfig {
             },
             inv_latency: 20,
             c2c_latency: 60,
-            prefetch_next_line: false,
         }
     }
 }
@@ -349,11 +343,6 @@ impl MemSystem {
         }
         self.stats.l1d_misses += 1;
         lat += self.cfg.l2.latency_cycles;
-        // Prefetch on every L1 miss so a streaming access pattern keeps
-        // the next line in flight (tagged next-line prefetching).
-        if self.cfg.prefetch_next_line {
-            self.prefetch(c, LineAddr(line.0 + 1));
-        }
         let l2 = self.l2[c].access(line, false);
         if l2 == LookupResult::Hit {
             self.stats.l2_hits += 1;
@@ -385,23 +374,6 @@ impl MemSystem {
         self.fill_l2(c, line);
         self.fill_l1(c, line, write);
         lat
-    }
-
-    /// Next-line prefetch: fills `line` into L2 in the background (no
-    /// latency charged to the demand access; DRAM energy is). Only
-    /// uncached lines are prefetched — touching shared or modified lines
-    /// would perturb the coherence protocol for speculation.
-    fn prefetch(&mut self, c: usize, line: LineAddr) {
-        if line.index() >= self.image.num_lines()
-            || self.l2[c].contains(line)
-            || self.dir.state(line) != DirState::Uncached
-        {
-            return;
-        }
-        self.dir.read(c as u32, line);
-        self.stats.dram_line_reads += 1;
-        self.stats.prefetches += 1;
-        self.fill_l2(c, line);
     }
 
     fn fill_l1(&mut self, c: usize, line: LineAddr, dirty: bool) {
@@ -649,49 +621,5 @@ mod tests {
         let s1 = m.log_write_stall(16 * 100);
         let s2 = m.log_write_stall(16 * 1000);
         assert!(s2 > s1);
-    }
-}
-
-#[cfg(test)]
-mod prefetch_tests {
-    use super::*;
-
-    #[test]
-    fn prefetcher_cuts_streaming_misses() {
-        let on_cfg = MemConfig {
-            prefetch_next_line: true,
-            ..MemConfig::default()
-        };
-        let mut on = MemSystem::new(on_cfg, 1, 1 << 22);
-        let mut off = MemSystem::new(MemConfig::default(), 1, 1 << 22);
-        let mut lat_on = 0u64;
-        let mut lat_off = 0u64;
-        for i in 0..2000u64 {
-            let a = WordAddr::new(i * 64);
-            lat_on += on.load(CoreId(0), a).1;
-            lat_off += off.load(CoreId(0), a).1;
-        }
-        assert!(on.stats().prefetches > 1000);
-        assert!(
-            lat_on < lat_off / 2,
-            "streaming with prefetch {lat_on} should beat {lat_off}"
-        );
-        // Functional values unaffected.
-        assert_eq!(on.load(CoreId(0), WordAddr::new(0)).0, 0);
-    }
-
-    #[test]
-    fn prefetcher_respects_coherence() {
-        let cfg = MemConfig {
-            prefetch_next_line: true,
-            ..MemConfig::default()
-        };
-        let mut m = MemSystem::new(cfg, 2, 1 << 20);
-        // Core 1 owns line 1 dirty.
-        m.store(CoreId(1), WordAddr::new(64), 5);
-        // Core 0 misses line 0; next-line prefetch must NOT steal line 1.
-        m.load(CoreId(0), WordAddr::new(0));
-        let (v, _) = m.load(CoreId(1), WordAddr::new(64));
-        assert_eq!(v, 5);
     }
 }

@@ -47,9 +47,6 @@ pub enum SimError {
         /// Program counter of the `ASSOC-ADDR`.
         pc: u32,
     },
-    /// The machine's global fuel (instruction budget) ran out — almost
-    /// certainly an accidental infinite loop in a generated kernel.
-    FuelExhausted,
     /// A recovery escalation exceeded its watchdog cycle budget and was
     /// aborted as hung. Raised by the checkpoint engine (`acr-ckpt`), not
     /// the machine itself; it lives here so `run_to_completion` keeps a
@@ -78,7 +75,6 @@ impl fmt::Display for SimError {
                     core.0
                 )
             }
-            SimError::FuelExhausted => write!(f, "instruction budget exhausted"),
             SimError::RecoveryHang {
                 budget_cycles,
                 spent_cycles,
@@ -129,7 +125,6 @@ pub struct Machine<'p> {
     cores: Vec<CoreModel>,
     mem: MemSystem,
     stats: SimStats,
-    fuel: u64,
     trace: SharedSink,
     registry: MetricsRegistry,
     sampler: Option<Sampler>,
@@ -175,7 +170,6 @@ impl<'p> Machine<'p> {
             cores,
             mem,
             stats: SimStats::default(),
-            fuel: u64::MAX,
             trace: SharedSink::disabled(),
             registry: MetricsRegistry::new(),
             sampler: None,
@@ -289,11 +283,6 @@ impl<'p> Machine<'p> {
                 s.record(cycle, reg);
             }
         }
-    }
-
-    /// Sets a global instruction budget (defence against runaway loops).
-    pub fn set_fuel(&mut self, fuel: u64) {
-        self.fuel = fuel;
     }
 
     /// The machine configuration.
@@ -585,7 +574,7 @@ impl<'p> Machine<'p> {
     ///
     /// # Errors
     ///
-    /// Propagates [`SimError`] from the cores, including fuel exhaustion.
+    /// Propagates [`SimError`] from the cores.
     pub fn run(
         &mut self,
         hooks: &mut dyn ExecHooks,
@@ -666,22 +655,19 @@ impl<'p> Machine<'p> {
     ) -> Result<(), SimError> {
         let mut retired_total = self.total_retired();
         // Split the machine into disjoint field borrows once so the batch
-        // loop indexes `cores[i]` a single time and keeps the fuel counter
-        // in a register instead of a per-instruction load/store on `self`.
+        // loop indexes `cores[i]` a single time.
         let Machine {
             cfg,
             program,
             cores,
             mem,
             stats,
-            fuel,
             ..
         } = self;
         let code = program.thread(i as u32);
         let core = &mut cores[i];
-        let mut fuel_left = *fuel;
         let mut batch = 0u64;
-        let result = loop {
+        loop {
             if !core.runnable()
                 || core.ticks() > limit_ticks
                 || batch >= BATCH_INSTRS
@@ -689,10 +675,6 @@ impl<'p> Machine<'p> {
             {
                 break Ok(());
             }
-            if fuel_left == 0 {
-                break Err(SimError::FuelExhausted);
-            }
-            fuel_left -= 1;
             let pc = core.pc();
             let instr = *code.fetch(pc).unwrap_or(&Instr::Halt);
             let ticks_before = core.ticks();
@@ -713,10 +695,6 @@ impl<'p> Machine<'p> {
                     let next_pc = core.pc();
                     if let Some(next @ Instr::AssocAddr { .. }) = code.fetch(next_pc) {
                         let next = *next;
-                        if fuel_left == 0 {
-                            break Err(SimError::FuelExhausted);
-                        }
-                        fuel_left -= 1;
                         let t0 = core.ticks();
                         if let Err(e) = core.step(&next, cfg, mem, stats, hooks) {
                             break Err(e);
@@ -732,9 +710,7 @@ impl<'p> Machine<'p> {
                 StepKind::Barrier | StepKind::Halt => break Ok(()),
                 StepKind::Normal => {}
             }
-        };
-        *fuel = fuel_left;
-        result
+        }
     }
 }
 
@@ -891,19 +867,5 @@ mod tests {
         assert_eq!(prof.tick_histogram().count(), prof.total_retires());
         // Memory waits exist in this store-heavy program.
         assert!(prof.iter().any(|(_, c)| c.mem_ticks > 0));
-    }
-
-    #[test]
-    fn fuel_exhaustion_detected() {
-        let mut b = ProgramBuilder::new(1);
-        b.set_mem_bytes(4096);
-        let t = b.thread(0);
-        let top = t.here();
-        t.raw(acr_isa::Instr::Jump { target: top });
-        t.halt();
-        let p = b.build();
-        let mut m = Machine::new(MachineConfig::with_cores(1), &p);
-        m.set_fuel(1000);
-        assert_eq!(m.run(&mut NoHooks, u64::MAX), Err(SimError::FuelExhausted));
     }
 }

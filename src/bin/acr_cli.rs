@@ -1644,27 +1644,23 @@ fn shrink(a: &RunArgs) -> Result<ExitCode, String> {
     let cfg = campaign_config(a);
     let mut exp = paper_experiment(bench, workload(a.threads, a.scale), |spec| spec)
         .map_err(|e| format!("{bench}: {e}"))?;
-    let faults = exp
-        .plan_dense_faults(&cfg, a.amnesic)
-        .map_err(|e| e.to_string())?;
-    println!(
-        "== shrink: {} case {:04}, {} planned fault(s) ==",
-        bench.name(),
-        a.case,
-        faults.len()
-    );
     let out = exp
         .shrink_fault_case(
             &cfg,
             a.amnesic,
             a.case,
-            &faults,
             &ShrinkConfig {
                 jobs: a.jobs,
                 max_evaluations: a.max_evals,
             },
         )
         .map_err(|e| e.to_string())?;
+    println!(
+        "== shrink: {} case {:04}, {} planned fault(s) ==",
+        bench.name(),
+        a.case,
+        out.original_faults
+    );
     println!(
         "  {} fault(s) -> {} ({} dropped, {} field(s) narrowed) in {} round(s), \
          {} evaluation(s)",

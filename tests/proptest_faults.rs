@@ -4,7 +4,7 @@
 //! case is *reported* as diverged/aborted with visible evidence — a
 //! campaign never silently diverges.
 
-use acr_ckpt::{run_campaign, CampaignConfig, CaseOutcome, NoOmission};
+use acr_ckpt::{Campaign, CampaignConfig, CaseOutcome, NoOmission};
 use acr_isa::{AluOp, Program, ProgramBuilder, Reg};
 use acr_rng::check::forall;
 use acr_rng::SmallRng;
@@ -81,13 +81,10 @@ fn arbitrary_faults_never_silently_diverge() {
                 detection_latency_frac: *rng.choose(&[0.1f64, 0.5, 0.9]),
                 ..CampaignConfig::default()
             };
-            let r = run_campaign(
-                &program,
-                MachineConfig::with_cores(params.threads),
-                &cfg,
-                || NoOmission,
-            )
-            .expect("fault-free baseline agrees with the reference");
+            let machine = MachineConfig::with_cores(params.threads);
+            let (r, _) = Campaign::new(&program, machine, &cfg, || NoOmission)
+                .and_then(Campaign::run)
+                .expect("fault-free baseline agrees with the reference");
 
             assert_eq!(r.injected(), u64::from(cfg.count));
             for c in &r.cases {
