@@ -289,6 +289,42 @@ fn figure_task_hashes(names: &[&str], scale: f64) -> Vec<(&'static str, u64)> {
         .collect()
 }
 
+/// The tasks each figure pin below runs, in `FIGURE_TASKS` order.
+const FIGURE_PINS: [&[&str]; 5] = [
+    PINNED_AT_005,
+    PINNED_SWEEPS,
+    PINNED_SCALABILITY,
+    PINNED_FIG13,
+    PINNED_SUPPLEMENTARY,
+];
+const PINNED_AT_005: &[&str] = &["fig01", "table1", "figs06-09", "fig10"];
+const PINNED_SWEEPS: &[&str] = &["table2", "fig11", "fig12"];
+const PINNED_SCALABILITY: &[&str] = &["scalability"];
+const PINNED_FIG13: &[&str] = &["fig13"];
+const PINNED_SUPPLEMENTARY: &[&str] = &[
+    "fig10-csv",
+    "ablation-addrmap",
+    "ablation-detection-latency",
+    "ablation-hierarchical",
+    "ablation-scratchpad",
+    "ablation-trivial-slices",
+    "energy-breakdown",
+    "extension-placement",
+];
+
+/// A new `FIGURE_TASKS` entry needs a pin under tier-1, not only CI's
+/// `cmp` with `results/FIGURES_reference.txt`: every task is named by
+/// exactly one figure pin, and every pinned name is a task.
+#[test]
+fn every_figure_task_is_pinned_once() {
+    let pinned: Vec<&str> = FIGURE_PINS.iter().flat_map(|p| p.iter().copied()).collect();
+    for (name, _) in FIGURE_TASKS {
+        let pins = pinned.iter().filter(|p| *p == name).count();
+        assert_eq!(pins, 1, "figure task `{name}` is pinned {pins} times");
+    }
+    assert_eq!(pinned.len(), FIGURE_TASKS.len(), "a pin names no task");
+}
+
 /// Per-task hashes of `acr_cli figures --scale 0.05 --only
 /// fig01,table1,figs06-09,fig10`, the same values its manifest records.
 /// These were taken from the per-figure report functions before they were
@@ -296,7 +332,7 @@ fn figure_task_hashes(names: &[&str], scale: f64) -> Vec<(&'static str, u64)> {
 #[test]
 fn golden_hash_figures() {
     assert_eq!(
-        figure_task_hashes(&["fig01", "table1", "figs06-09", "fig10"], 0.05),
+        figure_task_hashes(PINNED_AT_005, 0.05),
         [
             ("fig01", 0x98a9c589205a0d4b),
             ("table1", 0x632bade0057951a3),
@@ -314,7 +350,7 @@ fn golden_hash_figures() {
 #[test]
 fn golden_hash_sweep_figures() {
     assert_eq!(
-        figure_task_hashes(&["table2", "fig11", "fig12"], 0.01),
+        figure_task_hashes(PINNED_SWEEPS, 0.01),
         [
             ("table2", 0xefcc9aac2227cd86),
             ("fig11", 0x6a90c887e4cd59f9),
@@ -330,9 +366,40 @@ fn golden_hash_sweep_figures() {
 #[test]
 fn golden_hash_scalability() {
     assert_eq!(
-        figure_task_hashes(&["scalability"], 0.01),
+        figure_task_hashes(PINNED_SCALABILITY, 0.01),
         [("scalability", 0xe5af022e0796d27c)],
         "scalability report hash moved"
+    );
+}
+
+/// `acr_cli figures --scale 0.01 --only fig13`: eight runs per kernel,
+/// so it runs in its own test, next to the supplementary pin.
+#[test]
+fn golden_hash_fig13() {
+    assert_eq!(
+        figure_task_hashes(PINNED_FIG13, 0.01),
+        [("fig13", 0xef9086d182b85e92)],
+        "fig13 report hash moved"
+    );
+}
+
+/// Per-task hashes of `acr_cli figures --scale 0.01` for Fig. 10's CSV,
+/// the five ablations and the two extensions.
+#[test]
+fn golden_hash_supplementary_figures() {
+    assert_eq!(
+        figure_task_hashes(PINNED_SUPPLEMENTARY, 0.01),
+        [
+            ("fig10-csv", 0xc92c406f1df451bd),
+            ("ablation-addrmap", 0x4442132e1ee57ea7),
+            ("ablation-detection-latency", 0x5e22553ef7faaa20),
+            ("ablation-hierarchical", 0x1f8b3a89647112be),
+            ("ablation-scratchpad", 0xeb728fd398c65546),
+            ("ablation-trivial-slices", 0x89287c39dac9cb90),
+            ("energy-breakdown", 0xbd9c6f73efe75c51),
+            ("extension-placement", 0x385bd743909c8955),
+        ],
+        "supplementary report hashes moved"
     );
 }
 
