@@ -8,6 +8,7 @@
 #![forbid(unsafe_code)]
 
 pub mod figures;
+mod table;
 
 use acr::{
     campaign_sweep, CampaignRunResult, Experiment, ExperimentError, ExperimentSpec, RunResult,

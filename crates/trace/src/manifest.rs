@@ -410,8 +410,17 @@ pub fn diff_manifests(baseline: &Manifest, candidate: &Manifest, opts: &DiffOpti
         candidate.host_gauge("host.rss.peak_bytes"),
     ) {
         if b > 0 && c > 0 {
+            // Each worker adds its own stack and buffers, so RSS is only
+            // comparable at one worker count; name both when they differ.
+            let workers = match (
+                baseline.host_gauge("host.jobs.resolved"),
+                candidate.host_gauge("host.jobs.resolved"),
+            ) {
+                (Some(bj), Some(cj)) if bj != cj => format!(", {bj} -> {cj} workers"),
+                _ => String::new(),
+            };
             r.lines.push(format!(
-                "info host.rss.peak_bytes: {:.1} MiB -> {:.1} MiB (report-only)",
+                "info host.rss.peak_bytes: {:.1} MiB -> {:.1} MiB (report-only{workers})",
                 b as f64 / (1 << 20) as f64,
                 c as f64 / (1 << 20) as f64,
             ));
@@ -551,6 +560,31 @@ mod tests {
             !diff_manifests(&sample(), &c, &DiffOptions::default()).failed(),
             "ungated diff tolerates the missing gauge"
         );
+    }
+
+    #[test]
+    fn rss_line_names_differing_worker_counts() {
+        let rss_line = |b: &Manifest, c: &Manifest| {
+            let r = diff_manifests(b, c, &DiffOptions::default());
+            let line = r.lines.iter().find(|l| l.contains("host.rss.peak_bytes"));
+            line.expect("an RSS line").clone()
+        };
+        let with_jobs = |jobs: u64, rss_mib: u64| {
+            let mut m = sample();
+            m.host[2].1 = rss_mib << 20;
+            m.host.push(("host.jobs.resolved".to_owned(), jobs));
+            m
+        };
+        assert_eq!(
+            rss_line(&with_jobs(1, 10), &with_jobs(2, 14)),
+            "info host.rss.peak_bytes: 10.0 MiB -> 14.0 MiB (report-only, 1 -> 2 workers)"
+        );
+        // Equal or unrecorded worker counts keep the plain line.
+        let plain = "info host.rss.peak_bytes: 10.0 MiB -> 14.0 MiB (report-only)";
+        assert_eq!(rss_line(&with_jobs(2, 10), &with_jobs(2, 14)), plain);
+        let mut no_jobs = sample();
+        no_jobs.host[2].1 = 14 << 20;
+        assert_eq!(rss_line(&with_jobs(1, 10), &no_jobs), plain);
     }
 
     #[test]
