@@ -35,7 +35,8 @@ pub(crate) struct Table {
     title: String,
     /// Header, width and float precision of each column.
     columns: Vec<(String, usize, usize)>,
-    lines: Vec<String>,
+    /// The rows and raw lines so far, each ending in a newline.
+    body: String,
 }
 
 impl Table {
@@ -44,7 +45,7 @@ impl Table {
         Table {
             title: title.into(),
             columns: Vec::new(),
-            lines: Vec::new(),
+            body: String::new(),
         }
     }
 
@@ -70,43 +71,41 @@ impl Table {
     /// Appends a row, cell `i` in column `i`. A short row prints only its
     /// own cells.
     pub(crate) fn row(&mut self, cells: &[&dyn Cell]) {
-        self.lines.push(line(&self.columns, cells));
+        push_line(&mut self.body, &self.columns, cells);
     }
 
     /// Appends `line` as it is: a row whose layout the columns cannot
     /// state.
     pub(crate) fn raw(&mut self, line: String) {
-        self.lines.push(line);
+        self.body += &line;
+        self.body.push('\n');
     }
 
     /// The rendered table followed by `notes`, one line each.
     pub(crate) fn render(self, notes: &[&str]) -> String {
         let header: Vec<&dyn Cell> = self.columns.iter().map(|(h, ..)| h as &dyn Cell).collect();
-        let mut out = format!("== {} ==\n{}\n", self.title, line(&self.columns, &header));
-        for line in self
-            .lines
-            .iter()
-            .map(String::as_str)
-            .chain(notes.iter().copied())
-        {
-            out.push_str(line);
+        let mut out = format!("== {} ==\n", self.title);
+        push_line(&mut out, &self.columns, &header);
+        out += &self.body;
+        for note in notes {
+            out += note;
             out.push('\n');
         }
         out
     }
 }
 
-/// `cells` laid out in `columns`, one space apart.
-fn line(columns: &[(String, usize, usize)], cells: &[&dyn Cell]) -> String {
+/// Appends `cells` to `out` laid out in `columns`, one space apart, and a
+/// newline.
+fn push_line(out: &mut String, columns: &[(String, usize, usize)], cells: &[&dyn Cell]) {
     assert!(cells.len() <= columns.len(), "more cells than columns");
-    let mut out = String::new();
     for (i, (cell, (_, width, precision))) in cells.iter().zip(columns).enumerate() {
         if i > 0 {
             out.push(' ');
         }
-        cell.write(&mut out, *width, *precision);
+        cell.write(out, *width, *precision);
     }
-    out
+    out.push('\n');
 }
 
 #[cfg(test)]
